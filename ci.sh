@@ -53,6 +53,10 @@ cargo test -q -p uniq-engine agg
 cargo test -q -p uniqueness --test agg_agreement
 cargo test -q -p uniq-bench e23
 
+echo "==> fast lane: Session / SharedEngine serving parity (one query pipeline)"
+cargo test -q -p uniqueness --test serving_parity
+cargo test -q -p uniq-engine shared
+
 echo "==> fast lane: wire codec + server end-to-end tests"
 cargo test -q -p uniq-server
 
@@ -121,5 +125,11 @@ cargo build --release
 
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
+
+echo "==> perfbench: the benchmark's own workspace builds and passes its smoke test"
+# perfbench/ is a separate Cargo workspace, so the workspace test above
+# never compiles it; an engine API change that breaks the benchmark
+# fails here instead.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI green."

@@ -5,6 +5,9 @@
 //! cargo run -p uniq-bench --bin report --release            # all experiments
 //! cargo run -p uniq-bench --bin report --release -- e2 e7   # a subset
 //! ```
+//!
+//! An argument that names no experiment prints the usage and exits 2,
+//! so a typo cannot pass for a successful run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,8 +87,19 @@ impl Metrics {
     }
 }
 
+/// How many experiments the report knows: `e1` through `e23`.
+const EXPERIMENTS: usize = 23;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !(1..=EXPERIMENTS).any(|n| **a == format!("e{n}")))
+    {
+        eprintln!("report: unknown experiment {unknown:?}");
+        eprintln!("usage: report [e1 … e{EXPERIMENTS}]   (no argument runs them all)");
+        std::process::exit(2);
+    }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
     let runs = 5;
     let mut metrics = Metrics::default();

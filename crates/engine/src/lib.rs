@@ -38,6 +38,7 @@ pub mod explain;
 pub mod ivm;
 pub mod parallel;
 pub mod plancache;
+mod query;
 pub mod session;
 pub mod setops;
 pub mod shared;

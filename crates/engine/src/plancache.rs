@@ -248,25 +248,27 @@ impl PlanCache {
         None
     }
 
-    /// Store a compiled plan. At capacity the shard's least-recently
-    /// used entry is evicted. A plan for the same fingerprint simply
-    /// replaces the old entry (last compilation wins).
+    /// Store a compiled plan and return it shared, as a later hit would.
+    /// At capacity the shard's least-recently used entry is evicted. A
+    /// plan for the same fingerprint simply replaces the old entry (last
+    /// compilation wins).
     pub fn insert(
         &self,
         fingerprint: u64,
         canonical: &str,
         catalog_version: u64,
         plan: CachedPlan,
-    ) {
+    ) -> std::sync::Arc<CachedPlan> {
+        let plan = std::sync::Arc::new(plan);
         if self.shard_capacity == 0 {
-            return;
+            return plan;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let entry = Entry {
             text: canonical.to_string(),
             catalog_version,
             last_used: AtomicU64::new(stamp),
-            plan: std::sync::Arc::new(plan),
+            plan: std::sync::Arc::clone(&plan),
         };
         let shard = self.shard(fingerprint);
         let mut map = shard.write().expect("plan cache shard poisoned");
@@ -281,6 +283,7 @@ impl PlanCache {
         }
         map.insert(fingerprint, entry);
         self.insertions.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
     /// Number of cached plans.

@@ -1,23 +1,24 @@
-//! A convenience façade: parse → bind → optimize → execute in one call.
+//! The embedded serving surface: parse → bind → optimize → execute in
+//! one call.
 //!
 //! [`Session`] is the API the examples and benchmarks use. It owns a
 //! [`Database`], an optimizer configuration and executor options; each
 //! [`Session::query`] returns the rows together with the rewrite steps the
 //! optimizer applied and the executor's work counters, so callers can see
-//! *what* the paper's techniques did and *what they saved*.
+//! *what* the paper's techniques did and *what they saved*. It runs the
+//! serving path [`SharedEngine`](crate::SharedEngine) runs for `uniqd`,
+//! on its own database.
 
-use crate::exec::{ExecOptions, Executor};
-use crate::plancache::{CacheStats, CachedPlan, PlanCache};
+use crate::exec::ExecOptions;
+use crate::plancache::{CacheStats, PlanCache};
+use crate::query::{Analysis, Pipeline};
 use crate::stats::{Degree, ExecStats, StageTimings};
 use std::sync::Arc;
-use std::time::Instant;
 use uniq_catalog::{Database, Row};
-use uniq_core::optimize_output;
-use uniq_core::pipeline::{Optimizer, OptimizerOptions, RewriteTrace};
-use uniq_cost::{plan_output, CardReport, PhysicalPlan, PlannerOptions, Statistics};
-use uniq_plan::{bind_output, BoundOutput, BoundQuery, HostVars};
-use uniq_sql::{parse_statement, Statement};
-use uniq_types::{fnv64, ColumnName, Error, Result};
+use uniq_core::pipeline::{OptimizerOptions, RewriteTrace};
+use uniq_cost::{CardReport, PlannerOptions, Statistics};
+use uniq_plan::{BoundQuery, HostVars};
+use uniq_types::{ColumnName, Result};
 
 /// The result of one query execution.
 #[derive(Debug, Clone)]
@@ -61,22 +62,8 @@ pub struct Session {
     /// Compiled-plan cache consulted by [`Session::query`] /
     /// [`Session::query_with`]; see [`crate::plancache`].
     pub cache: Arc<PlanCache>,
-    /// Statistics collected by [`Session::analyze`], consumed by the
-    /// cost-based planner.
-    stats: Option<Arc<Statistics>>,
-    /// Dictionary-encoded column store built by [`Session::analyze`]
-    /// when the planner's columnar option is on; consulted by the
-    /// executor for blocks the planner licensed `exec=columnar`. Built
-    /// once per analyze — the executor verifies freshness per query and
-    /// falls back to rows when the store has gone stale.
-    columns: Option<Arc<crate::columnar::ColumnStore>>,
-    /// Bumped on every [`Session::analyze`]; mixed into plan
-    /// fingerprints so plans chosen under old statistics are recompiled.
-    stats_epoch: u64,
-}
-
-fn elapsed_ns(t: Instant) -> u64 {
-    t.elapsed().as_nanos() as u64
+    /// What the last [`Session::analyze`] collected.
+    analysis: Analysis,
 }
 
 impl Session {
@@ -89,24 +76,16 @@ impl Session {
             exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
             cache: Arc::new(PlanCache::default()),
-            stats: None,
-            columns: None,
-            stats_epoch: 0,
+            analysis: Analysis::default(),
         }
     }
 
     /// Collect table and column statistics from the current database
-    /// contents. Bumps the statistics epoch, so plans compiled under
-    /// older statistics are recompiled on their next use.
+    /// contents, plus the column store when the planner's columnar
+    /// option is on. Bumps the statistics epoch, so plans compiled
+    /// under older statistics are recompiled on their next use.
     pub fn analyze(&mut self) {
-        self.stats = Some(Arc::new(Statistics::collect(&self.db)));
-        self.stats_epoch += 1;
-        // Rebuild the column store from the same snapshot the statistics
-        // were collected from, so the two stay in step.
-        self.columns = self
-            .planner
-            .columnar
-            .then(|| Arc::new(crate::columnar::ColumnStore::build(&self.db)));
+        self.analysis = Analysis::collect(&self.db, self.planner, self.analysis.epoch + 1);
     }
 
     /// Enable cost-based physical planning, collecting statistics first.
@@ -130,17 +109,7 @@ impl Session {
 
     /// The statistics collected by the last [`Session::analyze`], if any.
     pub fn statistics(&self) -> Option<&Statistics> {
-        self.stats.as_deref()
-    }
-
-    /// Plan the physical execution of an optimized query, when the
-    /// session is cost-based and has statistics.
-    fn plan_physical(&self, output: &BoundOutput) -> Option<Arc<PhysicalPlan>> {
-        if !self.planner.cost_based {
-            return None;
-        }
-        let stats = self.stats.as_ref()?;
-        Some(Arc::new(plan_output(output, stats, self.planner)))
+        self.analysis.stats.as_deref()
     }
 
     /// Enable morsel-driven parallel execution with one worker per
@@ -187,26 +156,6 @@ impl Session {
         self.cache.stats()
     }
 
-    /// The tag mixed into plan fingerprints so differently configured
-    /// sessions never share plans: it covers the optimizer knobs, the
-    /// static executor strategies (parallel degree and kernel choice
-    /// included — a cost-based plan compiled at degree 4 embeds
-    /// per-operator `deg`s a serial session must not reuse), the planner
-    /// configuration and the statistics epoch (cached plans embed
-    /// physical choices made from statistics, so re-`analyze` must
-    /// recompile them). All option structs are small `Copy` types, so
-    /// their `Debug` form is a faithful, cheap serialization of every
-    /// knob.
-    fn options_tag(&self) -> u64 {
-        fnv64(
-            format!(
-                "{:?}|{:?}|{:?}|{}",
-                self.optimizer, self.exec, self.planner, self.stats_epoch
-            )
-            .as_bytes(),
-        )
-    }
-
     /// Session over the paper's populated Figure 1 database.
     pub fn sample() -> Result<Session> {
         Ok(Session::new(uniq_catalog::sample::supplier_database()?))
@@ -217,218 +166,61 @@ impl Session {
         self.db.run_script(sql)
     }
 
+    /// The serving path over this session's database. A session plans
+    /// physically only when cost-based planning is on (and
+    /// [`Session::analyze`] has run).
+    fn pipeline(&self) -> Pipeline<'_> {
+        Pipeline {
+            db: &self.db,
+            cache: &self.cache,
+            optimizer: self.optimizer,
+            exec: self.exec,
+            planner: self.planner,
+            analysis: &self.analysis,
+            cost_based: self.planner.cost_based,
+        }
+    }
+
     /// Parse, bind, optimize and execute a query with no host variables.
     pub fn query(&self, sql: &str) -> Result<QueryOutput> {
         self.query_with(sql, &HostVars::new())
     }
 
-    /// Parse, bind, optimize and execute a query with host variables.
-    ///
-    /// The serving path: parse → canonical fingerprint → plan-cache
-    /// probe → (on a miss) bind + optimize + insert → execute. Cache
-    /// hits skip binding and the whole rewrite pipeline; host-variable
-    /// *values* are applied at execution, so one cached plan serves
-    /// every binding of the same text.
+    /// Parse, bind, optimize and execute a query with host variables,
+    /// through the plan cache: hits skip binding and the whole rewrite
+    /// pipeline, and host-variable *values* are applied at execution, so
+    /// one cached plan serves every binding of the same text.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-
-        let t = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal(
-                "Session::query executes queries; use run_script for DDL/DML",
-            ));
-        };
-        let canonical = ast.to_string();
-        timings.parse_ns = elapsed_ns(t);
-
-        // Hash the canonical text once; the tag mixes in O(1).
-        let sql_hash = PlanCache::sql_hash(&canonical);
-        let fingerprint = PlanCache::fingerprint_with(sql_hash, self.options_tag());
-        let version = self.db.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let t = Instant::now();
-            let mut executor =
-                Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-            let rows = executor.run_output(&plan.query, plan.physical.as_deref())?;
-            timings.execute_ns = elapsed_ns(t);
-            let cards = plan
-                .physical
-                .as_deref()
-                .map(|p| p.card_report(executor.actuals()));
-            return Ok(QueryOutput {
-                columns: plan.columns.clone(),
-                rows,
-                trace: plan.trace.clone(),
-                stats: executor.stats,
-                timings,
-                cache_hit: true,
-                cards,
-            });
-        }
-
-        let t = Instant::now();
-        let bound = bind_output(self.db.catalog(), &ast)?;
-        timings.bind_ns = elapsed_ns(t);
-
-        let t = Instant::now();
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query);
-        timings.optimize_ns = elapsed_ns(t);
-
-        let columns = query.output_names();
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: trace.clone(),
-                columns: columns.clone(),
-                physical: physical.clone(),
-            },
-        );
-
-        let t = Instant::now();
-        let mut executor =
-            Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = elapsed_ns(t);
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns,
-            rows,
-            trace,
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        self.pipeline().query(sql, hostvars)
     }
 
-    /// `EXPLAIN`: render the rewrite trace (rule, theorem, per-rule
-    /// timing) and the physical plan for `sql`, without executing it.
-    ///
-    /// Follows the same serving path as [`Session::query`]: a plan-cache
-    /// hit explains the cached plan with the trace recorded when it was
-    /// compiled; a miss compiles (and caches) the plan first. Both paths
-    /// produce the same trace sections.
+    /// `EXPLAIN`: render the rewrite trace (rule, theorem, proof,
+    /// per-rule timing) and the physical plan for `sql`, plus estimated
+    /// and actual rows per operator under a cost-based plan. A cache hit
+    /// shows the trace recorded at compile time; a miss compiles (and
+    /// caches) the plan first, exactly as [`Session::query`] would.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("EXPLAIN applies to queries only"));
-        };
-        let canonical = ast.to_string();
-        let fingerprint = PlanCache::fingerprint(&canonical, self.options_tag());
-        let version = self.db.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-            let cost = self.explain_cost_section(&plan.query, plan.physical.as_deref());
-            return Ok(format!("Plan: cached\n{body}{cost}"));
-        }
-        let bound = bind_output(self.db.catalog(), &ast)?;
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query);
-        let columns = query.output_names();
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: trace.clone(),
-                columns,
-                physical: physical.clone(),
-            },
-        );
-        let body = crate::explain::explain_with_trace(&trace, &query, &self.exec);
-        let cost = self.explain_cost_section(&query, physical.as_deref());
-        Ok(format!("Plan: compiled\n{body}{cost}"))
-    }
-
-    /// The `Cost-based plan` section of `EXPLAIN`: the physical plan
-    /// with estimated and actual rows per operator. Actuals come from
-    /// executing the plan; `EXPLAIN` binds no host variables, so a query
-    /// that needs them renders `act=?` instead. Empty when the session
-    /// has no cost-based plan for the query.
-    fn explain_cost_section(&self, query: &BoundOutput, physical: Option<&PhysicalPlan>) -> String {
-        let Some(plan) = physical else {
-            return String::new();
-        };
-        let hostvars = HostVars::new();
-        let mut executor =
-            Executor::new(&self.db, &hostvars, self.exec).with_columns(self.columns.as_deref());
-        let actuals = executor
-            .run_output(query, Some(plan))
-            .ok()
-            .map(|_| executor.actuals().to_vec());
-        format!(
-            "Cost-based plan (est/act rows):\n{}",
-            plan.render(1, actuals.as_deref())
-        )
+        Ok(self.pipeline().explain(sql)?.0)
     }
 
     /// Optimize and execute an already-bound query (no cache involved —
     /// there is no query text to key on).
     pub fn execute_bound(&self, bound: &BoundQuery, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-        let t = Instant::now();
-        let outcome = Optimizer::new(self.optimizer).optimize(bound);
-        let query = BoundOutput::plain(outcome.query);
-        let physical = self.plan_physical(&query);
-        timings.optimize_ns = elapsed_ns(t);
-        let t = Instant::now();
-        let mut executor =
-            Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = elapsed_ns(t);
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns: query.output_names(),
-            rows,
-            trace: outcome.trace,
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        self.pipeline().query_bound(bound, hostvars)
     }
 
     /// Execute without any rewriting and with the early-stopping Top-K
     /// path off (baseline for experiments: every hash op and sort
     /// comparison the elisions avoid is paid here in full).
     pub fn query_unoptimized(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-        let t = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("not a query"));
-        };
-        timings.parse_ns = elapsed_ns(t);
-        let t = Instant::now();
-        let bound = bind_output(self.db.catalog(), &ast)?;
-        timings.bind_ns = elapsed_ns(t);
-        let t = Instant::now();
-        let exec = ExecOptions {
-            early_stop: false,
-            ..self.exec
-        };
-        let mut executor = Executor::new(&self.db, hostvars, exec);
-        let rows = executor.run_output(&bound, None)?;
-        timings.execute_ns = elapsed_ns(t);
-        Ok(QueryOutput {
-            columns: bound.output_names(),
-            rows,
-            trace: RewriteTrace::default(),
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards: None,
-        })
+        Pipeline {
+            exec: ExecOptions {
+                early_stop: false,
+                ..self.exec
+            },
+            ..self.pipeline()
+        }
+        .query_unoptimized(sql, hostvars)
     }
 }
 

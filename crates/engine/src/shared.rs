@@ -1,54 +1,43 @@
 //! Multi-client serving: sessions over MVCC snapshots with one shared
 //! plan cache.
 //!
-//! [`Session`](crate::Session) owns its [`Database`] — good for a
-//! single-threaded driver, useless for a daemon where writers and
-//! readers interleave. [`SharedEngine`] replaces the owned database
-//! with a [`SnapshotStore`]:
+//! [`SharedEngine`] runs the serving path [`Session`](crate::Session)
+//! runs, with the owned database replaced by a [`SnapshotStore`]:
 //!
-//! * every query pins the head snapshot **once** at query start and
-//!   executes against that `Arc<Database>` — a consistent catalog +
-//!   rows + indexes + statistics view, with no lock held while the
-//!   query runs;
+//! * every statement pins the head snapshot and the current statistics
+//!   **once** and runs against them — a consistent catalog + rows +
+//!   indexes + statistics view, with no lock held while it runs; the
+//!   engine plans physically as soon as [`SharedEngine::analyze`] has
+//!   run;
 //! * DDL/DML goes through [`SharedEngine::execute`], which publishes a
 //!   new snapshot copy-on-write (see [`uniq_catalog::snapshot`]);
-//! * all connections share one process-wide sharded [`PlanCache`]. The
-//!   fingerprint already covers the catalog version and the options
-//!   tag, so a plan compiled by one connection serves every other —
-//!   and `CREATE TABLE` / `CREATE INDEX` invalidate lazily exactly as
-//!   in the single-session engine. Plain `INSERT` leaves the catalog
-//!   version alone, so cached plans keep serving across snapshots; the
-//!   executor re-verifies index freshness against the pinned snapshot
-//!   on every run.
+//! * all connections share one process-wide sharded [`PlanCache`], so a
+//!   plan compiled by one connection serves every other, and DDL
+//!   invalidates lazily exactly as in a session. Plain `INSERT` leaves
+//!   the catalog version alone, so cached plans keep serving across
+//!   snapshots; the executor re-verifies index and column-store
+//!   freshness against the pinned snapshot on every run.
 //!
 //! [`SharedSession`] is the per-connection view: it borrows the engine
 //! and adds a per-connection query counter, which the server's `Stats`
-//! frame reports.
+//! frame reports. No lock here stays poisoned: a panic while one is
+//! held (a subscriber's sink, say) is recovered on the next acquisition,
+//! and the subscription registry then rebuilds every view from scratch.
 
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::ExecOptions;
 use crate::ivm::{self, MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
-use crate::plancache::{CacheStats, CachedPlan, PlanCache};
+use crate::plancache::{CacheStats, PlanCache};
+use crate::query::{Analysis, Pipeline};
 use crate::session::QueryOutput;
-use crate::stats::{ExecStats, StageTimings};
+use crate::stats::ExecStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock};
 use uniq_catalog::{Database, Row, SnapshotStore};
-use uniq_core::optimize_output;
-use uniq_core::pipeline::{Optimizer, OptimizerOptions};
-use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions, Statistics};
-use uniq_plan::{bind_output, BoundOutput, HostVars};
+use uniq_core::pipeline::OptimizerOptions;
+use uniq_cost::PlannerOptions;
+use uniq_plan::HostVars;
 use uniq_proof::ProofStatus;
-use uniq_sql::{parse_statement, Statement};
-use uniq_types::{fnv64, ColumnName, Error, Result};
-
-/// Statistics state: collected from one snapshot, stamped with an epoch
-/// that is mixed into plan fingerprints (re-`ANALYZE` recompiles plans).
-#[derive(Debug, Default)]
-struct StatsState {
-    stats: Option<Arc<Statistics>>,
-    epoch: u64,
-}
+use uniq_types::{ColumnName, Result};
 
 /// The callback a subscriber registers: called with the subscription id
 /// and each non-empty [`ViewDelta`] after a publish. Returning `false`
@@ -76,9 +65,10 @@ struct SubEntry {
     id: u64,
     view: MaterializedView,
     sink: SubscriptionSink,
-    /// Set by [`SharedEngine::analyze`] (and on maintenance errors):
-    /// the view is rebuilt from scratch on the next round, exactly as
-    /// the plan cache lazily recompiles on an epoch bump.
+    /// Set by [`SharedEngine::analyze`] (and on maintenance errors or a
+    /// recovered panic): the view is rebuilt from scratch on the next
+    /// round, exactly as the plan cache lazily recompiles on an epoch
+    /// bump.
     stale: bool,
 }
 
@@ -125,7 +115,9 @@ pub struct SharedEngine {
     /// Cost-based planner configuration; physical planning activates
     /// once [`SharedEngine::analyze`] has collected statistics.
     pub planner: PlannerOptions,
-    stats: RwLock<StatsState>,
+    /// What the last [`SharedEngine::analyze`] collected; each statement
+    /// pins it once, next to its snapshot.
+    analysis: RwLock<Arc<Analysis>>,
     queries: AtomicU64,
     subs: Mutex<SubState>,
 }
@@ -164,7 +156,7 @@ impl SharedEngine {
             optimizer: OptimizerOptions::relational(),
             exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
-            stats: RwLock::new(StatsState::default()),
+            analysis: RwLock::default(),
             queries: AtomicU64::new(0),
             subs: Mutex::new(SubState::default()),
         }
@@ -200,7 +192,8 @@ impl SharedEngine {
         Ok(applied)
     }
 
-    /// Collect statistics from the current head snapshot and bump the
+    /// Collect statistics (and, when the planner's columnar option is
+    /// on, the column store) from the current head snapshot and bump the
     /// statistics epoch. Cost-based physical planning is active from
     /// the next query on; plans compiled under older statistics are
     /// recompiled lazily (the epoch is part of the fingerprint).
@@ -208,23 +201,61 @@ impl SharedEngine {
     /// marked stale and rebuilt (re-bound, re-licensed) on its next
     /// maintenance round.
     pub fn analyze(&self) {
-        let snap = self.snapshot();
-        let collected = Arc::new(Statistics::collect(&snap));
+        let collected = Analysis::collect(&self.snapshot(), self.planner, 0);
         {
-            let mut state = self.stats.write().expect("stats lock poisoned");
-            state.stats = Some(collected);
-            state.epoch += 1;
+            let (mut current, _) = recover(self.analysis.write(), || self.analysis.clear_poison());
+            *current = Arc::new(Analysis {
+                epoch: current.epoch + 1,
+                ..collected
+            });
         }
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
-        for entry in &mut subs.entries {
+        for entry in &mut self.subs().entries {
             entry.stale = true;
+        }
+    }
+
+    /// The subscription registry. A panic while it was held (a sink, or
+    /// a maintenance round) may have left views half-maintained, so a
+    /// recovered registry marks every view stale: the next round
+    /// rebuilds them from scratch.
+    fn subs(&self) -> MutexGuard<'_, SubState> {
+        let (mut subs, poisoned) = recover(self.subs.lock(), || self.subs.clear_poison());
+        if poisoned {
+            for entry in &mut subs.entries {
+                entry.stale = true;
+            }
+        }
+        subs
+    }
+
+    fn analysis(&self) -> Arc<Analysis> {
+        let (analysis, _) = recover(self.analysis.read(), || self.analysis.clear_poison());
+        Arc::clone(&analysis)
+    }
+
+    /// Pin the head snapshot and the current analysis for one statement.
+    fn pin(&self) -> (Arc<Database>, Arc<Analysis>) {
+        (self.snapshot(), self.analysis())
+    }
+
+    /// The serving path over a pinned snapshot and analysis: the engine
+    /// plans physically as soon as `ANALYZE` has run.
+    fn pipeline<'a>(&'a self, snap: &'a Database, analysis: &'a Analysis) -> Pipeline<'a> {
+        Pipeline {
+            db: snap,
+            cache: &self.cache,
+            optimizer: self.optimizer,
+            exec: self.exec,
+            planner: self.planner,
+            analysis,
+            cost_based: true,
         }
     }
 
     /// Counter snapshot for the `Stats` frame.
     pub fn stats(&self) -> EngineStats {
         let subs = {
-            let s = self.subs.lock().expect("subs lock poisoned");
+            let s = self.subs();
             SubscriptionStats {
                 active: s.entries.len() as u64,
                 deltas_pushed: s.deltas_pushed,
@@ -238,54 +269,17 @@ impl SharedEngine {
             cache: self.cache.stats(),
             snapshot_depth: self.store.depth(),
             queries_total: self.queries.load(Ordering::Relaxed),
-            stats_epoch: self.stats.read().expect("stats lock poisoned").epoch,
+            stats_epoch: self.analysis().epoch,
             subs,
         }
-    }
-
-    /// The fingerprint tag: optimizer + executor + planner knobs and the
-    /// statistics epoch, exactly like
-    /// [`Session`](crate::Session)'s — differently configured engines
-    /// (or epochs) never share plans.
-    fn options_tag(&self, epoch: u64) -> u64 {
-        fnv64(
-            format!(
-                "{:?}|{:?}|{:?}|{}",
-                self.optimizer, self.exec, self.planner, epoch
-            )
-            .as_bytes(),
-        )
-    }
-
-    fn stats_state(&self) -> (Option<Arc<Statistics>>, u64) {
-        let state = self.stats.read().expect("stats lock poisoned");
-        (state.stats.clone(), state.epoch)
-    }
-
-    fn plan_physical(
-        &self,
-        query: &BoundOutput,
-        stats: Option<&Arc<Statistics>>,
-    ) -> Option<Arc<PhysicalPlan>> {
-        let stats = stats?;
-        let mut planner = self.planner;
-        planner.cost_based = true;
-        Some(Arc::new(plan_output(query, stats, planner)))
     }
 
     /// Bind, optimize, license and materialize `sql` as a view over the
     /// current head snapshot.
     fn build_view(&self, sql: &str) -> Result<MaterializedView> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("SUBSCRIBE applies to queries only"));
-        };
-        let canonical = ast.to_string();
-        let snap = self.snapshot();
-        let bound = bind_output(snap.catalog(), &ast)?;
-        let (query, _trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let columns = query.output_names();
-        MaterializedView::new(canonical, query, columns, snap, self.exec)
+        let (snap, analysis) = self.pin();
+        let (canonical, plan) = self.pipeline(&snap, &analysis).compile(sql)?;
+        MaterializedView::new(canonical, plan.query, plan.columns, snap, self.exec)
     }
 
     /// Register `sql` as a live subscription: the query is optimized,
@@ -295,7 +289,7 @@ impl SharedEngine {
     /// receives each non-empty delta; returning `false` unsubscribes.
     pub fn subscribe(&self, sql: &str, sink: SubscriptionSink) -> Result<Subscription> {
         let view = self.build_view(sql)?;
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
+        let mut subs = self.subs();
         subs.next_id += 1;
         let id = subs.next_id;
         let reply = Subscription {
@@ -316,7 +310,7 @@ impl SharedEngine {
 
     /// Remove a subscription. Returns whether the id was registered.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
+        let mut subs = self.subs();
         let before = subs.entries.len();
         subs.entries.retain(|e| e.id != id);
         subs.entries.len() != before
@@ -324,7 +318,7 @@ impl SharedEngine {
 
     /// A registered view's current contents (tests and tooling).
     pub fn subscription_rows(&self, id: u64) -> Option<Vec<Row>> {
-        let subs = self.subs.lock().expect("subs lock poisoned");
+        let subs = self.subs();
         subs.entries
             .iter()
             .find(|e| e.id == id)
@@ -333,7 +327,7 @@ impl SharedEngine {
 
     /// A registered view's cumulative maintenance work.
     pub fn subscription_work(&self, id: u64) -> Option<ExecStats> {
-        let subs = self.subs.lock().expect("subs lock poisoned");
+        let subs = self.subs();
         subs.entries
             .iter()
             .find(|e| e.id == id)
@@ -348,7 +342,7 @@ impl SharedEngine {
     /// that refuses a delta drops its subscription on the spot.
     fn maintain_subscriptions(&self) {
         let head = self.snapshot();
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
+        let mut subs = self.subs();
         let state = &mut *subs;
         let mut dropped: Vec<u64> = Vec::new();
         for entry in &mut state.entries {
@@ -414,90 +408,13 @@ impl SharedEngine {
     }
 
     /// Parse, plan (through the shared cache) and execute `sql` against
-    /// a snapshot pinned at entry. The serving path mirrors
-    /// [`Session::query_with`](crate::Session::query_with); the only
-    /// difference is *which* database the plan runs on — always the
-    /// snapshot pinned here, never a moving head.
+    /// a snapshot pinned at entry: cache validity, binding, physical
+    /// planning and execution all see that one version, never a moving
+    /// head.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-
-        let t = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal(
-                "SharedEngine::query executes queries; use execute for DDL/DML",
-            ));
-        };
-        let canonical = ast.to_string();
-        timings.parse_ns = t.elapsed().as_nanos() as u64;
-
-        // Pin the snapshot ONCE; everything below — cache validity,
-        // binding, physical planning, execution — sees this version.
-        let snap = self.snapshot();
-        let (stats, epoch) = self.stats_state();
         self.queries.fetch_add(1, Ordering::Relaxed);
-
-        let sql_hash = PlanCache::sql_hash(&canonical);
-        let fingerprint = PlanCache::fingerprint_with(sql_hash, self.options_tag(epoch));
-        let version = snap.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let t = Instant::now();
-            let mut executor = Executor::new(&snap, hostvars, self.exec);
-            let rows = executor.run_output(&plan.query, plan.physical.as_deref())?;
-            timings.execute_ns = t.elapsed().as_nanos() as u64;
-            let cards = plan
-                .physical
-                .as_deref()
-                .map(|p| p.card_report(executor.actuals()));
-            return Ok(QueryOutput {
-                columns: plan.columns.clone(),
-                rows,
-                trace: plan.trace.clone(),
-                stats: executor.stats,
-                timings,
-                cache_hit: true,
-                cards,
-            });
-        }
-
-        let t = Instant::now();
-        let bound = bind_output(snap.catalog(), &ast)?;
-        timings.bind_ns = t.elapsed().as_nanos() as u64;
-
-        let t = Instant::now();
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query, stats.as_ref());
-        timings.optimize_ns = t.elapsed().as_nanos() as u64;
-
-        let columns = query.output_names();
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: trace.clone(),
-                columns: columns.clone(),
-                physical: physical.clone(),
-            },
-        );
-
-        let t = Instant::now();
-        let mut executor = Executor::new(&snap, hostvars, self.exec);
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = t.elapsed().as_nanos() as u64;
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns,
-            rows,
-            trace,
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        let (snap, analysis) = self.pin();
+        self.pipeline(&snap, &analysis).query(sql, hostvars)
     }
 
     /// [`SharedEngine::query_with`] with no host variables.
@@ -506,46 +423,20 @@ impl SharedEngine {
     }
 
     /// `EXPLAIN` against a pinned snapshot, through the shared cache —
-    /// same trace sections as [`Session::explain`](crate::Session::explain).
+    /// the text [`Session::explain`](crate::Session::explain) renders,
+    /// followed by the subscription note when the query is also a live
+    /// subscription.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("EXPLAIN applies to queries only"));
-        };
-        let canonical = ast.to_string();
-        let snap = self.snapshot();
-        let (stats, epoch) = self.stats_state();
-        let fingerprint = PlanCache::fingerprint(&canonical, self.options_tag(epoch));
-        let version = snap.version();
-        let note = self.subscription_note(&canonical);
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-            return Ok(format!("Plan: cached\n{body}{note}"));
-        }
-        let bound = bind_output(snap.catalog(), &ast)?;
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query, stats.as_ref());
-        let columns = query.output_names();
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: trace.clone(),
-                columns,
-                physical: physical.clone(),
-            },
-        );
-        let body = crate::explain::explain_with_trace(&trace, &query, &self.exec);
-        Ok(format!("Plan: compiled\n{body}{note}"))
+        let (snap, analysis) = self.pin();
+        let (text, canonical) = self.pipeline(&snap, &analysis).explain(sql)?;
+        Ok(text + &self.subscription_note(&canonical))
     }
 
     /// A trailing `EXPLAIN` section when the query text is also a live
     /// subscription: tier, license marker, and the view's cumulative
     /// `delta_rows` / `view_updates` counters.
     fn subscription_note(&self, canonical: &str) -> String {
-        let subs = self.subs.lock().expect("subs lock poisoned");
+        let subs = self.subs();
         subs.entries
             .iter()
             .find(|e| e.view.sql() == canonical)
@@ -611,6 +502,20 @@ impl SharedSession {
     /// `EXPLAIN` through the shared cache.
     pub fn explain(&self, sql: &str) -> Result<String> {
         self.engine.explain(sql)
+    }
+}
+
+/// Take a lock whether or not a panic poisoned it: `clear` clears the
+/// poison so every later caller finds a healthy lock. The flag says
+/// whether it was poisoned, so a caller that knows what state the panic
+/// may have interrupted can repair it (see `SharedEngine::subs`).
+fn recover<G>(locked: LockResult<G>, clear: impl FnOnce()) -> (G, bool) {
+    match locked {
+        Ok(guard) => (guard, false),
+        Err(poisoned) => {
+            clear();
+            (poisoned.into_inner(), true)
+        }
     }
 }
 
@@ -915,6 +820,43 @@ mod tests {
             "key-probe round scans no table"
         );
         assert!(engine.stats().subs.rows_saved > 0);
+    }
+
+    #[test]
+    fn a_panicking_sink_poisons_no_lock() {
+        let engine = SharedEngine::sample().unwrap();
+        let sql = "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO";
+        let panicked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let once = Arc::clone(&panicked);
+        let sink: SubscriptionSink = Box::new(move |_, _| {
+            assert!(once.swap(true, Ordering::SeqCst), "sink fails once");
+            true
+        });
+        let sub = engine.subscribe(sql, sink).unwrap();
+        let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute("INSERT INTO PARTS VALUES (2, 77, 'gasket', 150, 'RED');")
+        }));
+        assert!(write.is_err(), "the sink's panic unwinds out of execute");
+        assert!(panicked.load(Ordering::SeqCst));
+
+        // Every entry point that takes the registry or the analysis lock
+        // keeps working.
+        assert_eq!(engine.stats().subs.active, 1);
+        assert!(engine.query(sql).unwrap().rows.len() > 1);
+        assert!(engine.explain(sql).unwrap().contains("Subscription: id=1"));
+        let (sink, log) = collecting_sink();
+        engine
+            .subscribe("SELECT DISTINCT S.SNO FROM SUPPLIER S", sink)
+            .unwrap();
+        engine
+            .execute("INSERT INTO SUPPLIER VALUES (9, 'Nine', 'Toronto', 1, 'Active');")
+            .unwrap();
+        assert_eq!(log.lock().unwrap().len(), 1, "the new view was maintained");
+
+        // The view the panic interrupted was rebuilt from scratch.
+        let mut fresh = engine.query(sql).unwrap().rows;
+        fresh.sort();
+        assert_eq!(engine.subscription_rows(sub.id).unwrap(), fresh);
     }
 
     #[test]
