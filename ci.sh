@@ -101,6 +101,25 @@ timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" \
     -e "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S GROUP BY S.SCITY ORDER BY N DESC LIMIT 1" \
     | grep -q "Toronto"
+echo "==> fast lane: hostile statements are SQL errors, not a dead daemon"
+# 10,000 nested parentheses, and a flat chain of 10,000 conjuncts
+# (~120 KB, under Linux's 128 KiB single-argument limit), both nest far
+# past the parser's depth limit. Each must come back as an error that
+# uniq-cli reports with a non-zero exit, and the same uniqd must then
+# answer the next query.
+DEEP_PARENS="SELECT S.SNO FROM SUPPLIER S WHERE $(printf '(%.0s' $(seq 1 10000))S.SNO = 1$(printf ')%.0s' $(seq 1 10000))"
+LONG_CHAIN="SELECT S.SNO FROM SUPPLIER S WHERE $(printf 'S.SNO=1 AND %.0s' $(seq 1 9999))S.SNO=1"
+HOSTILE_ERR="$(mktemp)"
+for HOSTILE in "$DEEP_PARENS" "$LONG_CHAIN"; do
+    if timeout 60 "$CLI" --addr "$UNIQD_ADDR" -e "$HOSTILE" > /dev/null 2> "$HOSTILE_ERR"; then
+        echo "error: a statement past the nesting limit succeeded" >&2
+        exit 1
+    fi
+    grep -q "nests deeper than" "$HOSTILE_ERR"
+    timeout 60 "$CLI" --addr "$UNIQD_ADDR" \
+        -e "SELECT S.SNAME FROM SUPPLIER S WHERE S.SNO = 401" | grep -q Smoke
+done
+rm -f "$HOSTILE_ERR"
 echo "==> fast lane: subscription deltas over the wire (one writer, two subscribers)"
 # Two subscribers register the same set-tier view, a writer inserts one
 # PARTS row, and both must receive the pushed ViewDelta before their

@@ -946,12 +946,13 @@ fn e20_proof_checker(m: &mut Metrics) {
     else {
         panic!("expected a set-operation root");
     };
+    let est = |id: usize| plan.ops[id].est.expect("a cost-based plan is estimated");
     let node_est = |n: &uniqueness::cost::PhysNode| match n {
-        uniqueness::cost::PhysNode::Block(b) => plan.ops[b.project].est,
-        uniqueness::cost::PhysNode::SetOp { id, .. } => plan.ops[*id].est,
+        uniqueness::cost::PhysNode::Block(b) => est(b.project),
+        uniqueness::cost::PhysNode::SetOp { id, .. } => est(*id),
     };
     let additive = node_est(left) + node_est(right);
-    let capped = plan.ops[*id].est;
+    let capped = est(*id);
     println!(
         "UNION bound: operands sum to {additive}, distinct UNION capped at {capped} \
          (merged city domains)"
@@ -1358,11 +1359,11 @@ fn e16_cost_based_planning(m: &mut Metrics) {
                WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
     let explain = session.explain(sql).expect("explain");
     let section = explain
-        .split("Cost-based plan (est/act rows):")
+        .split("Physical plan:")
         .nth(1)
-        .expect("cost section present");
+        .expect("physical plan section present");
     println!("\nEXPLAIN (Figure 1 database): {sql}");
-    println!("Cost-based plan (est/act rows):{section}");
+    println!("Physical plan (est/act rows):{section}");
 }
 
 fn header(id: &str, title: &str) {

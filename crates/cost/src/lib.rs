@@ -17,10 +17,11 @@
 //!   duplicate-free emits at most the product of its projected columns'
 //!   domains; a join whose keys cover a candidate key of the inner table
 //!   emits at most the outer side).
-//! * [`planner`] — a cost-based physical planner replacing the
-//!   session-global `ExecOptions` defaults with per-node choices: hash
-//!   vs. sort distinct, hash vs. nested-loop join, and join input
-//!   ordering by estimated size.
+//! * [`planner`] — the physical planners: a cost-based one making
+//!   per-node choices (hash vs. sort distinct, hash vs. nested-loop
+//!   join, join input ordering by estimated size) and the fixed one
+//!   that turns a session's static [`ExecOptions`] into a plan without
+//!   statistics. Both register operators through one emitter.
 //! * [`physical`] — the physical-plan IR the executor consumes, with an
 //!   operator registry carrying estimates so `EXPLAIN` can print
 //!   `est=… act=…` per operator.
@@ -46,10 +47,13 @@ pub mod stats;
 pub use card::{CardReport, CardRow, QErrorStats};
 pub use estimate::Estimator;
 pub use physical::{
-    BlockPlan, Degree, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
-    PhysNode, PhysicalPlan,
+    BlockPlan, Degree, DistinctMethod, DistinctStep, ExecOptions, JoinMethod, JoinStep, OpId,
+    OpInfo, OutputOp, PhysNode, PhysicalPlan, UNREGISTERED,
 };
-pub use planner::{early_stop_license, plan_output, plan_query, PlannerOptions};
+pub use planner::{
+    conjunct_levels, early_stop_license, equi_join_key, fixed_block, fixed_node, fixed_plan,
+    fixed_plan_unregistered, plan_output, plan_query, session_plan, visit_attrs, PlannerOptions,
+};
 pub use sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg, ProbeSource};
 pub use stats::{ColumnStats, Statistics, TableStats};
 pub use uniq_proof::{Justification, ProofStatus};

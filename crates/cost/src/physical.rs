@@ -66,16 +66,59 @@ impl Degree {
     }
 }
 
+/// The static physical strategies of a session: the choices a fixed
+/// plan (see [`fixed_plan`](crate::fixed_plan)) is built from when no
+/// statistics license cost-based planning.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions {
+    /// Duplicate-elimination strategy.
+    pub distinct: DistinctMethod,
+    /// Join strategy for multi-table blocks.
+    pub join: JoinMethod,
+    /// Worker budget for morsel-driven parallel execution. The default
+    /// is [`Degree::Serial`]: the single-threaded path is the
+    /// correctness oracle the parallel one is tested against, and work
+    /// counters stay exactly reproducible.
+    pub degree: Degree,
+    /// Allow the unique-key hash-join kernel when the build side's join
+    /// keys cover one of its candidate keys (no bucket chains, probe
+    /// stops at the first match). Off = always chain (ablation).
+    pub unique_kernels: bool,
+    /// Allow `ORDER BY key-prefix LIMIT k` queries to walk an ordered
+    /// index and stop after `k` emitted rows instead of scanning,
+    /// sorting and truncating. Off = always scan + sort (the oracle the
+    /// early-stopping path is tested against, and the E23 baseline).
+    pub early_stop: bool,
+}
+
+impl Default for ExecOptions {
+    fn default() -> ExecOptions {
+        ExecOptions {
+            distinct: DistinctMethod::default(),
+            join: JoinMethod::default(),
+            degree: Degree::Serial,
+            unique_kernels: true,
+            early_stop: true,
+        }
+    }
+}
+
 /// Index of an operator in [`PhysicalPlan::ops`].
 pub type OpId = usize;
+
+/// The id of every operator in a plan built without a registry (a
+/// subquery's per-evaluation block, a fallback for a stale plan): the
+/// executor records no actual output for it.
+pub const UNREGISTERED: OpId = OpId::MAX;
 
 /// Registry entry for one physical operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpInfo {
     /// Display label, e.g. `HashJoin with Scan PARTS AS P`.
     pub label: String,
-    /// Estimated output rows.
-    pub est: u64,
+    /// Estimated output rows (`None` in a plan built without
+    /// statistics, rendered `est=?`).
+    pub est: Option<u64>,
     /// Workers the planner assigned to this operator (1 = serial);
     /// rendered as `deg=N` when parallel.
     pub deg: usize,
@@ -239,13 +282,41 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// Whether the planner estimated this plan's cardinalities (a fixed
+    /// plan carries none).
+    pub fn estimated(&self) -> bool {
+        self.ops.iter().any(|op| op.est.is_some())
+    }
+
     /// Render the plan as an indented tree, one operator per line, each
-    /// annotated `est=… act=…` (`act=?` when no actuals are supplied,
-    /// e.g. the query needs host variables that EXPLAIN cannot bind).
+    /// annotated `est=… act=…` (`est=?` without estimates, `act=?` when
+    /// no actuals are supplied, e.g. the query needs host variables that
+    /// EXPLAIN cannot bind).
     pub fn render(&self, depth: usize, actuals: Option<&[u64]>) -> String {
         let mut out = String::new();
-        let mut depth = depth;
-        // Output operators top-down: the last-applied (limit) first.
+        self.visit(depth, &mut |id, depth, suffix| {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+            let op = &self.ops[id];
+            let est = op.est.map_or("?".to_string(), |e| e.to_string());
+            let act = actuals
+                .and_then(|a| a.get(id))
+                .map_or("?".to_string(), |a| a.to_string());
+            let deg = if op.deg > 1 {
+                format!(" deg={}", op.deg)
+            } else {
+                String::new()
+            };
+            out.push_str(&format!("{} est={est} act={act}{deg}{suffix}\n", op.label));
+        });
+        out
+    }
+
+    /// Visit every operator top-down in render order — output operators
+    /// (the last-applied first), then the body tree — with its depth and
+    /// its marker suffix.
+    fn visit(&self, mut depth: usize, f: &mut impl FnMut(OpId, usize, String)) {
         for op in self.output.iter().rev() {
             let suffix = match op {
                 OutputOp::Agg {
@@ -268,61 +339,23 @@ impl PhysicalPlan {
                     None => String::new(),
                 },
             };
-            self.line_sfx(op.id(), depth, actuals, &suffix, &mut out);
+            f(op.id(), depth, suffix);
             depth += 1;
         }
-        self.render_node(&self.root, depth, actuals, &mut out);
-        out
+        Self::visit_node(&self.root, depth, f);
     }
 
-    fn line(&self, id: OpId, depth: usize, actuals: Option<&[u64]>, out: &mut String) {
-        self.line_sfx(id, depth, actuals, "", out);
-    }
-
-    fn line_sfx(
-        &self,
-        id: OpId,
-        depth: usize,
-        actuals: Option<&[u64]>,
-        suffix: &str,
-        out: &mut String,
-    ) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        let op = &self.ops[id];
-        let deg = if op.deg > 1 {
-            format!(" deg={}", op.deg)
-        } else {
-            String::new()
-        };
-        match actuals.and_then(|a| a.get(id)) {
-            Some(act) => out.push_str(&format!(
-                "{} est={} act={}{deg}{suffix}\n",
-                op.label, op.est, act
-            )),
-            None => out.push_str(&format!("{} est={} act=?{deg}{suffix}\n", op.label, op.est)),
-        }
-    }
-
-    fn render_node(
-        &self,
-        node: &PhysNode,
-        depth: usize,
-        actuals: Option<&[u64]>,
-        out: &mut String,
-    ) {
+    fn visit_node(node: &PhysNode, depth: usize, f: &mut impl FnMut(OpId, usize, String)) {
         match node {
             PhysNode::Block(block) => {
                 let mut depth = depth;
                 if let Some(d) = &block.distinct {
-                    self.line(d.id, depth, actuals, out);
+                    f(d.id, depth, String::new());
                     depth += 1;
                 }
-                self.line(block.project, depth, actuals, out);
-                // Pipeline steps, deepest-first like the executor's
-                // static EXPLAIN: the last join on top, the initial
-                // scan at the bottom.
+                f(block.project, depth, String::new());
+                // Pipeline steps, deepest-first: the last join on top,
+                // the initial scan at the bottom.
                 for step in block.joins.iter().rev() {
                     let suffix = match &step.ix {
                         Some(ix) => format!(
@@ -332,7 +365,7 @@ impl PhysicalPlan {
                         ),
                         None => String::new(),
                     };
-                    self.line_sfx(step.id, depth + 1, actuals, &suffix, out);
+                    f(step.id, depth + 1, suffix);
                 }
                 let mut suffix = String::new();
                 if let Some(ix) = &block.ixscan {
@@ -345,33 +378,31 @@ impl PhysicalPlan {
                 if block.columnar {
                     suffix.push_str(" exec=columnar");
                 }
-                self.line_sfx(block.scan, depth + 1, actuals, &suffix, out);
+                f(block.scan, depth + 1, suffix);
             }
             PhysNode::SetOp {
                 id, left, right, ..
             } => {
-                self.line(*id, depth, actuals, out);
-                self.render_node(left, depth + 1, actuals, out);
-                self.render_node(right, depth + 1, actuals, out);
+                f(*id, depth, String::new());
+                Self::visit_node(left, depth + 1, f);
+                Self::visit_node(right, depth + 1, f);
             }
         }
     }
 
     /// Pair every operator's estimate with the executor's measured
-    /// actual (see `Executor::actuals`).
+    /// actual (see `Executor::actuals`), in render order.
     pub fn card_report(&self, actuals: &[u64]) -> crate::card::CardReport {
-        crate::card::CardReport {
-            rows: self
-                .ops
-                .iter()
-                .enumerate()
-                .map(|(id, op)| crate::card::CardRow {
-                    op: op.label.clone(),
-                    est: op.est,
-                    act: actuals.get(id).copied().unwrap_or(0),
-                })
-                .collect(),
-        }
+        let mut rows = Vec::with_capacity(self.ops.len());
+        self.visit(0, &mut |id, _, _| {
+            let op = &self.ops[id];
+            rows.push(crate::card::CardRow {
+                op: op.label.clone(),
+                est: op.est.unwrap_or(0),
+                act: actuals.get(id).copied().unwrap_or(0),
+            });
+        });
+        crate::card::CardReport { rows }
     }
 }
 
@@ -411,22 +442,22 @@ mod tests {
             ops: vec![
                 OpInfo {
                     label: "Scan SUPPLIER AS S".into(),
-                    est: 5,
+                    est: Some(5),
                     deg: 1,
                 },
                 OpInfo {
                     label: "HashJoin with Scan PARTS AS P".into(),
-                    est: 7,
+                    est: Some(7),
                     deg: 2,
                 },
                 OpInfo {
                     label: "Project [S.SNO]".into(),
-                    est: 7,
+                    est: Some(7),
                     deg: 1,
                 },
                 OpInfo {
                     label: "HashDistinct".into(),
-                    est: 4,
+                    est: Some(4),
                     deg: 1,
                 },
             ],
@@ -500,17 +531,17 @@ mod tests {
         let mut plan = tiny_plan();
         plan.ops.push(OpInfo {
             label: "Aggregate [S.SNO, COUNT(*)]".into(),
-            est: 4,
+            est: Some(4),
             deg: 1,
         });
         plan.ops.push(OpInfo {
             label: "Sort [S.SNO]".into(),
-            est: 4,
+            est: Some(4),
             deg: 1,
         });
         plan.ops.push(OpInfo {
             label: "Limit 2".into(),
-            est: 2,
+            est: Some(2),
             deg: 1,
         });
         plan.output = vec![

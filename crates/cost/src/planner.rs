@@ -1,10 +1,16 @@
-//! The cost-based physical planner.
+//! The physical planners: one traversal, two ways of choosing.
 //!
-//! For every query block the planner chooses a join input order
-//! (greedy: start from the smallest filtered table, then repeatedly add
-//! the table minimizing the estimated intermediate size) and, per
-//! pipeline step, a physical method. Costs are expressed in the
-//! executor's own counters so the model is falsifiable:
+//! Both planners walk a bound query the same way and register every
+//! operator through one emitter, which formats the labels `EXPLAIN`
+//! prints and fills the [`OpInfo`] registry. They differ only in how
+//! each node's physical choices are made.
+//!
+//! **Cost-based** ([`plan_output`], [`plan_query`]). For every query
+//! block the planner chooses a join input order (greedy: start from the
+//! smallest filtered table, then repeatedly add the table minimizing
+//! the estimated intermediate size) and, per pipeline step, a physical
+//! method. Costs are expressed in the executor's own counters so the
+//! model is falsifiable:
 //!
 //! * a nested-loop step re-scans its table once per outer partial →
 //!   `outer × rows` scans;
@@ -21,15 +27,24 @@
 //! proved duplicate-free by Algorithm 1 / the FD test emits at most the
 //! product of its projected columns' active domains
 //! ([`Estimator::unique_output_bound`]).
+//!
+//! **Fixed** ([`fixed_plan`]). Without statistics, a session's static
+//! [`ExecOptions`] become a plan: tables join in `FROM` order, every
+//! step uses the session's join method, every duplicate elimination and
+//! set operation its distinct method, and every top-level operator the
+//! session's resolved degree. A fixed plan carries no estimates and no
+//! index or columnar licenses; it still marks key-covered hash steps
+//! unique, by the same rule the cost-based planner applies.
 
 use crate::estimate::Estimator;
 use crate::physical::{
-    BlockPlan, Degree, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
-    PhysNode, PhysicalPlan,
+    BlockPlan, Degree, DistinctMethod, DistinctStep, ExecOptions, JoinMethod, JoinStep, OpId,
+    OpInfo, OutputOp, PhysNode, PhysicalPlan, UNREGISTERED,
 };
 use crate::stats::Statistics;
 use std::collections::BTreeSet;
 use uniq_plan::{AttrRef, BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
+use uniq_proof::Justification;
 use uniq_sql::{CmpOp, SetOp};
 
 /// Per-morsel dispatch overhead expressed in row-work units: adding a
@@ -42,7 +57,8 @@ pub const ROWS_PER_WORKER: f64 = 512.0;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerOptions {
     /// Use collected statistics to choose per-node physical operators;
-    /// when `false`, the session's static `ExecOptions` apply.
+    /// when `false`, the fixed plan of the session's static
+    /// [`ExecOptions`] runs.
     pub cost_based: bool,
     /// Worker budget for per-operator parallel-degree choices. The
     /// planner never exceeds it and scales each operator down to the
@@ -60,18 +76,9 @@ pub struct PlannerOptions {
 /// Plan a bound (typically optimizer-rewritten) query against collected
 /// statistics.
 pub fn plan_query(query: &BoundQuery, stats: &Statistics, options: PlannerOptions) -> PhysicalPlan {
-    let mut planner = Planner {
-        est: Estimator::new(stats),
-        ops: Vec::new(),
-        max_deg: options.degree.resolve(),
-        columnar: options.columnar,
-    };
-    let (root, _) = planner.plan_node(query);
-    PhysicalPlan {
-        root,
-        output: Vec::new(),
-        ops: planner.ops,
-    }
+    let mut planner = Planner::cost(stats, options, true);
+    let (root, _) = planner.node(query);
+    planner.finish(root, Vec::new())
 }
 
 /// Plan a full (optimizer-rewritten) query — body plus aggregation /
@@ -90,102 +97,48 @@ pub fn plan_output(
     stats: &Statistics,
     options: PlannerOptions,
 ) -> PhysicalPlan {
-    let mut planner = Planner {
-        est: Estimator::new(stats),
-        ops: Vec::new(),
-        max_deg: options.degree.resolve(),
-        columnar: options.columnar,
-    };
-    let (root, body_est) = planner.plan_node(&output.body);
-    let mut est = body_est;
-    let mut out_ops: Vec<OutputOp> = Vec::new();
+    Planner::cost(stats, options, true).output(output)
+}
 
-    if let Some(agg) = &output.agg {
-        // Group-count hard bound: the distinct group tuples cannot
-        // exceed the product of the grouping columns' active domains.
-        // A proof-elided grouping emits exactly its input; an empty
-        // group set produces the one global group even on empty input.
-        est = if agg.group_count == 0 {
-            1.0
-        } else if agg.group_elided {
-            body_est
-        } else {
-            let dom = output
-                .body
-                .as_spec()
-                .map(|spec| {
-                    (0..agg.group_count)
-                        .map(|p| planner.est.attr_domain(spec, spec.projection[p].attr))
-                        .product::<f64>()
-                })
-                .unwrap_or(f64::INFINITY);
-            body_est.min(dom)
-        };
-        let cols: Vec<String> = agg
-            .items
-            .iter()
-            .map(|item| agg_item_label(output, item))
-            .collect();
-        // The aggregate touches every input row once, elided or not —
-        // that work amortizes the parallel partial-aggregate pass.
-        let deg = planner.op_degree(body_est);
-        let id = planner.op(format!("Aggregate [{}]", cols.join(", ")), est, deg);
-        out_ops.push(OutputOp::Agg {
-            id,
-            deg,
-            group_elided: agg.group_elided,
-            count_distinct_elided: agg.count_distinct_elided,
-        });
-    }
-
-    let early_stop = early_stop_license(output);
-    if !output.order_by.is_empty() && early_stop.is_none() {
-        let names = output.output_names();
-        let cols: Vec<String> = output
-            .order_by
-            .iter()
-            .map(|(p, desc)| format!("{}{}", names[*p], if *desc { " DESC" } else { "" }))
-            .collect();
-        let id = planner.op(format!("Sort [{}]", cols.join(", ")), est, 1);
-        out_ops.push(OutputOp::Sort { id });
-    }
-
-    if let Some(k) = output.limit {
-        est = est.min(k as f64);
-        let id = planner.op(format!("Limit {k}"), est, 1);
-        out_ops.push(OutputOp::Limit { id, early_stop });
-    }
-
-    PhysicalPlan {
-        root,
-        output: out_ops,
-        ops: planner.ops,
+/// The plan a session runs for `output`: cost-based against `stats`
+/// when the session has them, otherwise the fixed plan of `exec`'s
+/// static strategies. Either way `exec.early_stop` decides whether an
+/// ordered index may serve `ORDER BY … LIMIT k` with an early stop.
+pub fn session_plan(
+    output: &BoundOutput,
+    stats: Option<&Statistics>,
+    options: PlannerOptions,
+    exec: ExecOptions,
+) -> PhysicalPlan {
+    match stats {
+        Some(stats) => Planner::cost(stats, options, exec.early_stop).output(output),
+        None => fixed_plan(output, exec),
     }
 }
 
-/// Display label of one aggregate output item, e.g. `SNO`,
-/// `COUNT(DISTINCT S.SNO)`, `SUM(P.WEIGHT)`, `COUNT(*)`.
-fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
-    match item {
-        BoundAggItem::Group { name, .. } => name.to_string(),
-        BoundAggItem::Agg {
-            func,
-            distinct,
-            arg,
-            ..
-        } => {
-            let arg_s = match (arg, output.body.as_spec()) {
-                (Some(p), Some(spec)) => spec.attr_name(spec.projection[*p].attr),
-                (None, _) => "*".into(),
-                (Some(_), None) => "?".into(),
-            };
-            format!(
-                "{}({}{arg_s})",
-                func.name(),
-                if *distinct { "DISTINCT " } else { "" }
-            )
-        }
-    }
+/// The fixed plan of `exec`'s static strategies for `output`, with every
+/// operator registered and labelled for `EXPLAIN` and actuals.
+pub fn fixed_plan(output: &BoundOutput, exec: ExecOptions) -> PhysicalPlan {
+    Planner::fixed(exec, true).output(output)
+}
+
+/// [`fixed_plan`] without a registry: every operator id is
+/// [`UNREGISTERED`] and no label is formatted. This is what an executor
+/// runs when it is handed no plan.
+pub fn fixed_plan_unregistered(output: &BoundOutput, exec: ExecOptions) -> PhysicalPlan {
+    Planner::fixed(exec, false).output(output)
+}
+
+/// The unregistered fixed plan of one query node: what the executor
+/// falls back to when a cached plan no longer mirrors the query's shape.
+pub fn fixed_node(query: &BoundQuery, exec: ExecOptions) -> PhysNode {
+    Planner::fixed(exec, false).node(query).0
+}
+
+/// The unregistered fixed plan of one block, built per evaluation for an
+/// `IN` subquery (subqueries stay outside the operator registry).
+pub fn fixed_block(spec: &BoundSpec, exec: ExecOptions) -> BlockPlan {
+    Planner::fixed(exec, false).block(spec).0
 }
 
 /// License the `ORDER BY key-prefix LIMIT k` early stop: the output is
@@ -200,7 +153,7 @@ fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
 /// again at run time against the (possibly newer) bound schema and only
 /// takes the early-stop path when the re-derivation still names the
 /// planned index — a cached plan can outlive an index drop.
-pub fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justification> {
+pub fn early_stop_license(output: &BoundOutput) -> Option<Justification> {
     output.limit?;
     if output.agg.is_some() || output.order_by.is_empty() {
         return None;
@@ -229,45 +182,243 @@ pub fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justificat
                     .iter()
                     .map(|&c| table.schema.columns[c].name.as_str())
                     .collect();
-                uniq_proof::Justification::ix_scan(&def.name, def.unique, desc.join(","))
+                Justification::ix_scan(&def.name, def.unique, desc.join(","))
             })
     })
 }
 
-struct Planner<'a> {
-    est: Estimator<'a>,
-    ops: Vec<OpInfo>,
-    max_deg: usize,
-    columnar: bool,
+/// Assign each top-level conjunct of `spec`'s predicate to the earliest
+/// position of `order` at which every `FROM` table it references is
+/// bound — references made from inside nested subqueries included,
+/// since those see the block's attributes as correlated outers. The
+/// executor evaluates each conjunct at its position; a conjunct that
+/// references no table lands at position 0.
+pub fn conjunct_levels<'s>(spec: &'s BoundSpec, order: &[usize]) -> Vec<Vec<&'s BoundExpr>> {
+    let mut pos = vec![0usize; spec.from.len()];
+    for (k, &t) in order.iter().enumerate() {
+        pos[t] = k;
+    }
+    let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
+    for c in spec.predicate.iter().flat_map(|p| p.conjuncts()) {
+        let mut level = 0usize;
+        visit_attrs(c, 0, &mut |depth, a| {
+            if a.up == depth {
+                if let Some(t) = table_of(spec, a.idx) {
+                    level = level.max(pos[t]);
+                }
+            }
+        });
+        levels[level].push(c);
+    }
+    levels
 }
 
-impl Planner<'_> {
-    fn op(&mut self, label: String, est: f64, deg: usize) -> OpId {
-        let id = self.ops.len();
-        self.ops.push(OpInfo {
-            label,
-            est: est.min(u64::MAX as f64).ceil() as u64,
+/// How a plan's physical choices are made.
+enum Chooser<'a> {
+    /// Per node, from estimated costs in executor work units.
+    Cost { est: Estimator<'a>, columnar: bool },
+    /// One join and one distinct method everywhere, tables in `FROM`
+    /// order.
+    Fixed {
+        join: JoinMethod,
+        distinct: DistinctMethod,
+    },
+}
+
+/// One join step as chosen, before it is registered.
+struct StepChoice {
+    method: JoinMethod,
+    /// The step has equality keys (a hash step without them is a cross
+    /// join).
+    keyed: bool,
+    unique: bool,
+    ix: Option<Justification>,
+    deg: usize,
+    est: f64,
+}
+
+/// One block as chosen, before its operators are registered.
+struct BlockChoice {
+    order: Vec<usize>,
+    scan_est: f64,
+    scan_deg: usize,
+    ixscan: Option<Justification>,
+    columnar: bool,
+    joins: Vec<StepChoice>,
+    project_est: f64,
+    /// Method, estimate and degree of the duplicate elimination.
+    distinct: Option<(DistinctMethod, f64, usize)>,
+}
+
+struct Planner<'a> {
+    chooser: Chooser<'a>,
+    /// Worker budget (the degree of every fixed-plan operator).
+    max_deg: usize,
+    /// Whether an ordered index may serve `ORDER BY … LIMIT k`.
+    early_stop: bool,
+    /// The operator registry; `None` registers nothing.
+    ops: Option<Vec<OpInfo>>,
+}
+
+impl<'a> Planner<'a> {
+    fn cost(stats: &'a Statistics, options: PlannerOptions, early_stop: bool) -> Planner<'a> {
+        Planner {
+            chooser: Chooser::Cost {
+                est: Estimator::new(stats),
+                columnar: options.columnar,
+            },
+            max_deg: options.degree.resolve(),
+            early_stop,
+            ops: Some(Vec::new()),
+        }
+    }
+
+    fn fixed(exec: ExecOptions, registered: bool) -> Planner<'a> {
+        Planner {
+            chooser: Chooser::Fixed {
+                join: exec.join,
+                distinct: exec.distinct,
+            },
+            max_deg: exec.degree.resolve(),
+            early_stop: exec.early_stop,
+            ops: registered.then(Vec::new),
+        }
+    }
+
+    fn finish(&mut self, root: PhysNode, output: Vec<OutputOp>) -> PhysicalPlan {
+        PhysicalPlan {
+            root,
+            output,
+            ops: self.ops.take().unwrap_or_default(),
+        }
+    }
+
+    /// Register one operator — the one labeller both planners share.
+    /// The label is formatted only when there is a registry to keep it.
+    fn op(&mut self, label: impl FnOnce() -> String, est: f64, deg: usize) -> OpId {
+        let estimated = matches!(self.chooser, Chooser::Cost { .. });
+        let Some(ops) = &mut self.ops else {
+            return UNREGISTERED;
+        };
+        ops.push(OpInfo {
+            label: label(),
+            est: estimated.then(|| est.min(u64::MAX as f64).ceil() as u64),
             deg,
         });
-        id
+        ops.len() - 1
     }
 
-    /// Workers for an operator expected to perform `work` row-units:
-    /// one per [`ROWS_PER_WORKER`] of estimated work, clamped to the
-    /// session budget. Estimates already carry the uniqueness-derived
-    /// caps, so a key-covered join or duplicate-free block is never
-    /// over-parallelized on the strength of a loose guess.
+    /// Workers for an operator expected to perform `work` row-units.
+    /// Cost-based: one per [`ROWS_PER_WORKER`] of estimated work,
+    /// clamped to the session budget. Estimates already carry the
+    /// uniqueness-derived caps, so a key-covered join or duplicate-free
+    /// block is never over-parallelized on the strength of a loose
+    /// guess. Fixed: the whole budget.
     fn op_degree(&self, work: f64) -> usize {
-        if self.max_deg <= 1 {
-            return 1;
+        match self.chooser {
+            Chooser::Fixed { .. } => self.max_deg,
+            Chooser::Cost { .. } if self.max_deg <= 1 => 1,
+            Chooser::Cost { .. } => ((work / ROWS_PER_WORKER) as usize).clamp(1, self.max_deg),
         }
-        ((work / ROWS_PER_WORKER) as usize).clamp(1, self.max_deg)
     }
 
-    fn plan_node(&mut self, query: &BoundQuery) -> (PhysNode, f64) {
+    /// Duplicate elimination over about `n` rows. Hash counting costs
+    /// `n` probes; sort-merge costs about `n·log₂n` comparisons — hash
+    /// wins beyond tiny inputs.
+    fn distinct_method(&self, n: f64) -> DistinctMethod {
+        match self.chooser {
+            Chooser::Fixed { distinct, .. } => distinct,
+            Chooser::Cost { .. } if sort_cost(n) <= n => DistinctMethod::Sort,
+            Chooser::Cost { .. } => DistinctMethod::Hash,
+        }
+    }
+
+    fn output(&mut self, output: &BoundOutput) -> PhysicalPlan {
+        let (root, body_est) = self.node(&output.body);
+        let mut est = body_est;
+        let mut out_ops: Vec<OutputOp> = Vec::new();
+
+        if let Some(agg) = &output.agg {
+            // Group-count hard bound: the distinct group tuples cannot
+            // exceed the product of the grouping columns' active domains.
+            // A proof-elided grouping emits exactly its input; an empty
+            // group set produces the one global group even on empty input.
+            est = match &self.chooser {
+                Chooser::Fixed { .. } => 0.0,
+                _ if agg.group_count == 0 => 1.0,
+                _ if agg.group_elided => body_est,
+                Chooser::Cost { est: e, .. } => {
+                    let dom = output
+                        .body
+                        .as_spec()
+                        .map(|spec| {
+                            (0..agg.group_count)
+                                .map(|p| e.attr_domain(spec, spec.projection[p].attr))
+                                .product::<f64>()
+                        })
+                        .unwrap_or(f64::INFINITY);
+                    body_est.min(dom)
+                }
+            };
+            // The aggregate touches every input row once, elided or not —
+            // that work amortizes the parallel partial-aggregate pass.
+            let deg = self.op_degree(body_est);
+            let id = self.op(
+                || {
+                    let cols: Vec<String> = agg
+                        .items
+                        .iter()
+                        .map(|item| agg_item_label(output, item))
+                        .collect();
+                    format!("Aggregate [{}]", cols.join(", "))
+                },
+                est,
+                deg,
+            );
+            out_ops.push(OutputOp::Agg {
+                id,
+                deg,
+                group_elided: agg.group_elided,
+                count_distinct_elided: agg.count_distinct_elided,
+            });
+        }
+
+        let early_stop = self
+            .early_stop
+            .then(|| early_stop_license(output))
+            .flatten();
+        if !output.order_by.is_empty() && early_stop.is_none() {
+            let id = self.op(
+                || {
+                    let names = output.output_names();
+                    let cols: Vec<String> = output
+                        .order_by
+                        .iter()
+                        .map(|(p, desc)| {
+                            format!("{}{}", names[*p], if *desc { " DESC" } else { "" })
+                        })
+                        .collect();
+                    format!("Sort [{}]", cols.join(", "))
+                },
+                est,
+                1,
+            );
+            out_ops.push(OutputOp::Sort { id });
+        }
+
+        if let Some(k) = output.limit {
+            est = est.min(k as f64);
+            let id = self.op(|| format!("Limit {k}"), est, 1);
+            out_ops.push(OutputOp::Limit { id, early_stop });
+        }
+
+        self.finish(root, out_ops)
+    }
+
+    fn node(&mut self, query: &BoundQuery) -> (PhysNode, f64) {
         match query {
             BoundQuery::Spec(spec) => {
-                let (block, est) = self.plan_block(spec);
+                let (block, est) = self.block(spec);
                 (PhysNode::Block(block), est)
             }
             BoundQuery::SetOp {
@@ -276,8 +427,8 @@ impl Planner<'_> {
                 left,
                 right,
             } => {
-                let (l, l_est) = self.plan_node(left);
-                let (r, r_est) = self.plan_node(right);
+                let (l, l_est) = self.node(left);
+                let (r, r_est) = self.node(right);
                 let mut est = match op {
                     SetOp::Union => l_est + r_est,
                     // INTERSECT [ALL] emits min(j,k) copies per tuple.
@@ -288,35 +439,37 @@ impl Planner<'_> {
                 // UNION-aware hard cap: a distinct set operation can
                 // never emit more than its merged output domains admit,
                 // whatever the operand estimates say.
-                if let Some(bound) = self.est.query_hard_bound(query) {
-                    est = est.min(bound);
+                if let Chooser::Cost { est: e, .. } = &self.chooser {
+                    if let Some(bound) = e.query_hard_bound(query) {
+                        est = est.min(bound);
+                    }
                 }
                 let concat = *op == SetOp::Union && *all;
-                // Hash counting costs n probes; sort-merge costs about
-                // n·log₂n comparisons — hash wins beyond tiny inputs.
                 let n = l_est + r_est;
-                let method = if concat || sort_cost(n) <= n {
+                let method = if concat {
                     DistinctMethod::Sort
                 } else {
-                    DistinctMethod::Hash
+                    self.distinct_method(n)
                 };
-                let name = match op {
-                    SetOp::Intersect => "Intersect",
-                    SetOp::Except => "Except",
-                    SetOp::Union => "Union",
-                };
-                let strategy = if concat {
-                    "concat"
-                } else {
-                    match method {
-                        DistinctMethod::Sort => "sort-merge",
-                        DistinctMethod::Hash => "hash-count",
-                    }
-                };
-                let label = format!("{name}{} [{strategy}]", if *all { "All" } else { "" });
                 // UNION ALL concatenates — no counting pass to fan out.
                 let deg = if concat { 1 } else { self.op_degree(n) };
-                let id = self.op(label, est, deg);
+                let id = self.op(
+                    || {
+                        let name = match op {
+                            SetOp::Intersect => "Intersect",
+                            SetOp::Except => "Except",
+                            SetOp::Union => "Union",
+                        };
+                        let strategy = match (concat, method) {
+                            (true, _) => "concat",
+                            (false, DistinctMethod::Sort) => "sort-merge",
+                            (false, DistinctMethod::Hash) => "hash-count",
+                        };
+                        format!("{name}{} [{strategy}]", if *all { "All" } else { "" })
+                    },
+                    est,
+                    deg,
+                );
                 (
                     PhysNode::SetOp {
                         method,
@@ -331,7 +484,142 @@ impl Planner<'_> {
         }
     }
 
-    fn plan_block(&mut self, spec: &BoundSpec) -> (BlockPlan, f64) {
+    fn block(&mut self, spec: &BoundSpec) -> (BlockPlan, f64) {
+        let (choice, est) = match &self.chooser {
+            Chooser::Cost { est, columnar } => self.cost_block(est, *columnar, spec),
+            Chooser::Fixed { join, .. } => (self.fixed_block(spec, *join), 0.0),
+        };
+        (self.emit_block(spec, choice), est)
+    }
+
+    /// Register a chosen block's operators: join steps in order, then
+    /// the scan, the projection and the duplicate elimination. A step
+    /// (or the scan) that evaluates a surviving subquery conjunct names
+    /// its kind in its label.
+    fn emit_block(&mut self, spec: &BoundSpec, c: BlockChoice) -> BlockPlan {
+        let marks: Vec<String> = if self.ops.is_some() {
+            conjunct_levels(spec, &c.order)
+                .iter()
+                .map(|level| subquery_marker(level))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mark = |k: usize| marks.get(k).map_or("", String::as_str);
+        let mut joins = Vec::with_capacity(c.joins.len());
+        for (k, step) in c.joins.into_iter().enumerate() {
+            let table = &spec.from[c.order[k + 1]];
+            let kind = match (&step.ix, step.method, step.keyed) {
+                (Some(_), _, _) => "IxJoin",
+                (None, JoinMethod::NestedLoop, _) => "NestedLoop",
+                (None, JoinMethod::Hash, true) => "HashJoin",
+                (None, JoinMethod::Hash, false) => "CrossJoin",
+            };
+            let id = self.op(
+                || {
+                    format!(
+                        "{kind} with Scan {} AS {}{}",
+                        table.schema.name,
+                        table.binding,
+                        mark(k + 1)
+                    )
+                },
+                step.est,
+                step.deg,
+            );
+            joins.push(JoinStep {
+                method: step.method,
+                id,
+                deg: step.deg,
+                unique: step.unique,
+                ix: step.ix,
+            });
+        }
+        let t0 = &spec.from[c.order[0]];
+        let scan = self.op(
+            || {
+                // Columnar scans over a table with string columns read
+                // dictionary codes, not the strings themselves.
+                let dict = c.columnar
+                    && t0
+                        .schema
+                        .columns
+                        .iter()
+                        .any(|col| col.data_type == uniq_types::DataType::Str);
+                let enc = if dict { " enc=dict" } else { "" };
+                format!("Scan {} AS {}{enc}{}", t0.schema.name, t0.binding, mark(0))
+            },
+            c.scan_est,
+            c.scan_deg,
+        );
+        let project = self.op(
+            || {
+                let cols: Vec<String> = spec
+                    .projection
+                    .iter()
+                    .map(|p| spec.attr_name(p.attr))
+                    .collect();
+                format!("Project [{}]", cols.join(", "))
+            },
+            c.project_est,
+            1,
+        );
+        let distinct = c.distinct.map(|(method, est, deg)| {
+            let label = match method {
+                DistinctMethod::Sort => "SortDistinct",
+                DistinctMethod::Hash => "HashDistinct",
+            };
+            DistinctStep {
+                method,
+                id: self.op(|| label.to_string(), est, deg),
+                deg,
+            }
+        });
+        BlockPlan {
+            order: c.order,
+            scan,
+            scan_deg: c.scan_deg,
+            joins,
+            project,
+            distinct,
+            columnar: c.columnar,
+            ixscan: c.ixscan,
+        }
+    }
+
+    /// The fixed block: `FROM` order, `join` at every step.
+    fn fixed_block(&self, spec: &BoundSpec, join: JoinMethod) -> BlockChoice {
+        let order: Vec<usize> = (0..spec.from.len()).collect();
+        let levels = conjunct_levels(spec, &order);
+        let joins = (1..spec.from.len())
+            .map(|t| {
+                let start = spec.from[t].attr_range().start;
+                let (keyed, covered) = step_keys(spec, t, &levels[t], |idx| idx < start);
+                StepChoice {
+                    method: join,
+                    keyed,
+                    unique: covered && join == JoinMethod::Hash,
+                    ix: None,
+                    deg: self.max_deg,
+                    est: 0.0,
+                }
+            })
+            .collect();
+        BlockChoice {
+            order,
+            scan_est: 0.0,
+            scan_deg: self.max_deg,
+            ixscan: None,
+            columnar: false,
+            joins,
+            project_est: 0.0,
+            distinct: (spec.distinct == uniq_sql::Distinct::Distinct)
+                .then(|| (self.distinct_method(0.0), 0.0, self.max_deg)),
+        }
+    }
+
+    /// The cost-based block choice, with the block's estimated output.
+    fn cost_block(&self, e: &Estimator, columnar: bool, spec: &BoundSpec) -> (BlockChoice, f64) {
         let n = spec.from.len();
         let conjuncts: Vec<&BoundExpr> = spec
             .predicate
@@ -343,21 +631,18 @@ impl Planner<'_> {
         let raw: Vec<f64> = spec
             .from
             .iter()
-            .map(|t| self.est.table_rows(&t.schema.name))
+            .map(|t| e.table_rows(&t.schema.name))
             .collect();
+        let filtered = |t: usize| filtered_rows(e, spec, t, &conjuncts, &owners, raw[t]);
 
         // Greedy join ordering: start from the smallest filtered table.
         let first = (0..n)
-            .min_by(|&a, &b| {
-                let fa = self.filtered_rows(spec, a, &conjuncts, &owners, raw[a]);
-                let fb = self.filtered_rows(spec, b, &conjuncts, &owners, raw[b]);
-                fa.total_cmp(&fb)
-            })
+            .min_by(|&a, &b| filtered(a).total_cmp(&filtered(b)))
             .expect("block with empty FROM clause");
         let mut order = vec![first];
         let mut placed: BTreeSet<usize> = BTreeSet::from([first]);
         let mut applied = vec![false; conjuncts.len()];
-        let mut cur = self.filtered_rows(spec, first, &conjuncts, &owners, raw[first]);
+        let mut cur = filtered(first);
         for (i, o) in owners.iter().enumerate() {
             if o.iter().all(|t| placed.contains(t)) {
                 applied[i] = true;
@@ -369,17 +654,17 @@ impl Planner<'_> {
         // be a keyed hash join (the columnar executor has no nested-loop
         // or cross kernel). Tracked alongside the greedy loop so the
         // verdict reflects the order actually chosen.
-        let mut columnar = self.columnar && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
+        let mut columnar = columnar && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
 
-        let mut joins: Vec<JoinStep> = Vec::new();
+        let mut joins: Vec<StepChoice> = Vec::new();
         while placed.len() < n {
             // Choose the table minimizing the estimated step output.
             let (next, step_est, has_keys, covered) = (0..n)
                 .filter(|t| !placed.contains(t))
                 .map(|t| {
-                    let (est, keys, covered) = self.step_estimate(
-                        spec, t, &placed, &conjuncts, &owners, &applied, cur, raw[t],
-                    );
+                    let step = step_conjuncts(&conjuncts, &owners, &applied, &placed, t);
+                    let (est, keys, covered) =
+                        step_estimate(e, spec, t, &placed, &step, cur, raw[t]);
                     (t, est, keys, covered)
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -406,16 +691,8 @@ impl Planner<'_> {
             // over a hash join whenever the build cost dominates (the
             // probed table never gets scanned), and promoted to a
             // guaranteed one-row lookup when the index is unique.
-            let step_conjuncts: Vec<&BoundExpr> = conjuncts
-                .iter()
-                .zip(&owners)
-                .zip(&applied)
-                .filter(|((_, o), done)| {
-                    !**done && o.iter().all(|x| placed.contains(x) || *x == next)
-                })
-                .map(|((c, _), _)| *c)
-                .collect();
-            let probe = crate::sarg::find_index_probe(spec, next, &step_conjuncts, &|idx| {
+            let step = step_conjuncts(&conjuncts, &owners, &applied, &placed, next);
+            let probe = crate::sarg::find_index_probe(spec, next, &step, &|idx| {
                 table_of(spec, idx).is_some_and(|t| placed.contains(&t))
             });
             let mut step_est = step_est;
@@ -425,13 +702,6 @@ impl Planner<'_> {
             }
             let ix_cost = cur + step_est;
             let use_ix = probe.is_some() && ix_cost < hash_cost && ix_cost < nl_cost;
-            let table = &spec.from[next];
-            let kind = match (use_ix, method, has_keys) {
-                (true, _, _) => "IxJoin",
-                (false, JoinMethod::NestedLoop, _) => "NestedLoop",
-                (false, JoinMethod::Hash, true) => "HashJoin",
-                (false, JoinMethod::Hash, false) => "CrossJoin",
-            };
             // Degree amortized against the step's own work estimate;
             // index probes run serially (each probe is a point lookup —
             // there is no build side to partition).
@@ -443,24 +713,16 @@ impl Planner<'_> {
                     JoinMethod::Hash => hash_cost,
                 })
             };
-            let id = self.op(
-                format!(
-                    "{kind} with Scan {} AS {}",
-                    table.schema.name, table.binding
-                ),
-                step_est,
-                deg,
-            );
-            let ix = use_ix.then(|| {
-                let p = probe.as_ref().expect("use_ix implies a probe");
-                uniq_proof::Justification::ix_join(&p.index, p.unique)
-            });
-            joins.push(JoinStep {
+            let ix = probe
+                .filter(|_| use_ix)
+                .map(|p| Justification::ix_join(&p.index, p.unique));
+            joins.push(StepChoice {
                 method,
-                id,
-                deg,
+                keyed: has_keys,
                 unique: covered && method == JoinMethod::Hash,
                 ix,
+                deg,
+                est: step_est,
             });
             columnar = columnar && !use_ix && has_keys && method == JoinMethod::Hash;
             placed.insert(next);
@@ -475,12 +737,11 @@ impl Planner<'_> {
 
         // Uniqueness-derived hard cap on the block output.
         let mut out_est = cur;
-        if let Some(bound) = self.est.unique_output_bound(spec) {
+        if let Some(bound) = e.unique_output_bound(spec) {
             out_est = out_est.min(bound);
         }
 
-        let t0 = &spec.from[order[0]];
-        let mut scan_est = self.filtered_rows(spec, order[0], &conjuncts, &owners, raw[order[0]]);
+        let mut scan_est = filtered(order[0]);
         // Sargable index on the first table: serve the scan by a point
         // probe / range scan instead of reading every row. A unique
         // fully-bound probe returns at most one row — a hard bound the
@@ -498,9 +759,7 @@ impl Planner<'_> {
                 scan_est = scan_est.min(1.0);
             }
             if scan_est + 1.0 < raw[order[0]] {
-                ixscan = Some(uniq_proof::Justification::ix_scan(
-                    &s.index, s.unique, &s.desc,
-                ));
+                ixscan = Some(Justification::ix_scan(&s.index, s.unique, &s.desc));
             }
         }
         // Index scans are point lookups — nothing to morselize — and
@@ -513,129 +772,177 @@ impl Planner<'_> {
         } else {
             self.op_degree(raw[order[0]])
         };
-        // Columnar scans over a table with string columns read
-        // dictionary codes, not the strings themselves.
-        let enc = if columnar
-            && t0
-                .schema
-                .columns
-                .iter()
-                .any(|c| c.data_type == uniq_types::DataType::Str)
-        {
-            " enc=dict"
-        } else {
-            ""
-        };
-        let scan = self.op(
-            format!("Scan {} AS {}{enc}", t0.schema.name, t0.binding),
-            scan_est,
-            scan_deg,
-        );
-        let cols: Vec<String> = spec
-            .projection
-            .iter()
-            .map(|p| spec.attr_name(p.attr))
-            .collect();
-        let project = self.op(format!("Project [{}]", cols.join(", ")), out_est, 1);
 
+        // Distinct output can never exceed the projected domains.
         let distinct = (spec.distinct == uniq_sql::Distinct::Distinct).then(|| {
-            // Distinct output can never exceed the projected domains.
-            let d_est = out_est.min(self.est.projection_domain(spec));
-            let method = if sort_cost(out_est) <= out_est {
-                DistinctMethod::Sort
-            } else {
-                DistinctMethod::Hash
-            };
-            let label = match method {
-                DistinctMethod::Sort => "SortDistinct",
-                DistinctMethod::Hash => "HashDistinct",
-            };
-            let deg = self.op_degree(out_est);
-            DistinctStep {
-                method,
-                id: self.op(label.to_string(), d_est, deg),
-                deg,
-            }
+            let d_est = out_est.min(e.projection_domain(spec));
+            (
+                self.distinct_method(out_est),
+                d_est,
+                self.op_degree(out_est),
+            )
         });
-
+        // The block emits what its registered distinct estimate says.
         let final_est = distinct
-            .map(|d| self.ops[d.id].est as f64)
+            .map(|(_, d_est, _)| (d_est.min(u64::MAX as f64).ceil() as u64) as f64)
             .unwrap_or(out_est);
         (
-            BlockPlan {
+            BlockChoice {
                 order,
-                scan,
+                scan_est,
                 scan_deg,
-                joins,
-                project,
-                distinct,
-                columnar,
                 ixscan,
+                columnar,
+                joins,
+                project_est: out_est,
+                distinct,
             },
             final_est,
         )
     }
+}
 
-    /// Estimated rows of table `t` after its table-local conjuncts.
-    fn filtered_rows(
-        &self,
-        spec: &BoundSpec,
-        t: usize,
-        conjuncts: &[&BoundExpr],
-        owners: &[BTreeSet<usize>],
-        raw: f64,
-    ) -> f64 {
-        let sel: f64 = conjuncts
-            .iter()
-            .zip(owners)
-            .filter(|(_, o)| o.iter().all(|&x| x == t))
-            .map(|(c, _)| self.est.selectivity(spec, c))
-            .product();
-        raw * sel
+/// Display label of one aggregate output item, e.g. `SNO`,
+/// `COUNT(DISTINCT S.SNO)`, `SUM(P.WEIGHT)`, `COUNT(*)`.
+fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
+    match item {
+        BoundAggItem::Group { name, .. } => name.to_string(),
+        BoundAggItem::Agg {
+            func,
+            distinct,
+            arg,
+            ..
+        } => {
+            let arg_s = match (arg, output.body.as_spec()) {
+                (Some(p), Some(spec)) => spec.attr_name(spec.projection[*p].attr),
+                (None, _) => "*".into(),
+                (Some(_), None) => "?".into(),
+            };
+            format!(
+                "{}({}{arg_s})",
+                func.name(),
+                if *distinct { "DISTINCT " } else { "" }
+            )
+        }
     }
+}
 
-    /// Estimated output of joining `t` onto the current prefix, plus
-    /// whether the newly applicable conjuncts contain equality keys
-    /// usable by a hash join and whether those keys cover a candidate
-    /// key of `t` (licensing the unique-key kernel and the outer-side
-    /// cardinality cap).
-    #[allow(clippy::too_many_arguments)]
-    fn step_estimate(
-        &self,
-        spec: &BoundSpec,
-        t: usize,
-        placed: &BTreeSet<usize>,
-        conjuncts: &[&BoundExpr],
-        owners: &[BTreeSet<usize>],
-        applied: &[bool],
-        cur: f64,
-        raw: f64,
-    ) -> (f64, bool, bool) {
-        let range = spec.from[t].attr_range();
-        let mut est = cur * raw;
-        let mut key_columns: BTreeSet<usize> = BTreeSet::new();
-        for ((c, o), done) in conjuncts.iter().zip(owners).zip(applied) {
-            if *done || !o.iter().all(|x| placed.contains(x) || *x == t) {
-                continue;
+/// ` subquery(EXISTS, NOT IN)`: the kinds of the subqueries a pipeline
+/// position evaluates, or nothing when it evaluates none.
+fn subquery_marker(conjuncts: &[&BoundExpr]) -> String {
+    fn kinds(e: &BoundExpr, out: &mut Vec<&'static str>) {
+        match e {
+            BoundExpr::Exists { negated, .. } => {
+                out.push(if *negated { "NOT EXISTS" } else { "EXISTS" })
             }
-            est *= self.est.selectivity(spec, c);
-            if let Some(new_attr) = equi_key_attr(c, &range, |idx| {
-                placed.contains(&table_of(spec, idx).unwrap_or(usize::MAX))
-            }) {
-                key_columns.insert(new_attr - range.start);
+            BoundExpr::InSubquery { negated, .. } => {
+                out.push(if *negated { "NOT IN" } else { "IN" })
             }
+            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
+                kinds(a, out);
+                kinds(b, out);
+            }
+            BoundExpr::Not(a) => kinds(a, out),
+            _ => {}
         }
-        // Key coverage: each outer partial matches at most one row of a
-        // table whose candidate key the join keys cover.
-        let covered = spec.from[t]
-            .schema
-            .candidate_keys()
-            .any(|k| k.columns.iter().all(|c| key_columns.contains(c)));
-        if covered {
-            est = est.min(cur);
-        }
-        (est, !key_columns.is_empty(), covered)
     }
+    let mut out = Vec::new();
+    for c in conjuncts {
+        kinds(c, &mut out);
+    }
+    if out.is_empty() {
+        String::new()
+    } else {
+        format!(" subquery({})", out.join(", "))
+    }
+}
+
+/// Estimated rows of table `t` after its table-local conjuncts.
+fn filtered_rows(
+    e: &Estimator,
+    spec: &BoundSpec,
+    t: usize,
+    conjuncts: &[&BoundExpr],
+    owners: &[BTreeSet<usize>],
+    raw: f64,
+) -> f64 {
+    let sel: f64 = conjuncts
+        .iter()
+        .zip(owners)
+        .filter(|(_, o)| o.iter().all(|&x| x == t))
+        .map(|(c, _)| e.selectivity(spec, c))
+        .product();
+    raw * sel
+}
+
+/// The not-yet-applied conjuncts that become applicable when table `t`
+/// joins the `placed` prefix.
+fn step_conjuncts<'e>(
+    conjuncts: &[&'e BoundExpr],
+    owners: &[BTreeSet<usize>],
+    applied: &[bool],
+    placed: &BTreeSet<usize>,
+    t: usize,
+) -> Vec<&'e BoundExpr> {
+    conjuncts
+        .iter()
+        .zip(owners)
+        .zip(applied)
+        .filter(|((_, o), done)| !**done && o.iter().all(|x| placed.contains(x) || *x == t))
+        .map(|((c, _), _)| *c)
+        .collect()
+}
+
+/// Estimated output of joining `t` onto the current prefix through the
+/// step's conjuncts, plus whether they carry equality keys usable by a
+/// hash join and whether those keys cover a candidate key of `t`
+/// (licensing the unique-key kernel and the outer-side cardinality
+/// cap).
+fn step_estimate(
+    e: &Estimator,
+    spec: &BoundSpec,
+    t: usize,
+    placed: &BTreeSet<usize>,
+    step: &[&BoundExpr],
+    cur: f64,
+    raw: f64,
+) -> (f64, bool, bool) {
+    let mut est = cur * raw;
+    for c in step {
+        est *= e.selectivity(spec, c);
+    }
+    let (keyed, covered) = step_keys(spec, t, step, |idx| {
+        placed.contains(&table_of(spec, idx).unwrap_or(usize::MAX))
+    });
+    // Key coverage: each outer partial matches at most one row of a
+    // table whose candidate key the join keys cover.
+    if covered {
+        est = est.min(cur);
+    }
+    (est, keyed, covered)
+}
+
+/// Whether a join step's conjuncts carry equality keys from
+/// already-placed attributes (per `is_placed`) into table `t`, and
+/// whether those keys cover a candidate key of `t` — each outer partial
+/// then matches at most one row.
+fn step_keys(
+    spec: &BoundSpec,
+    t: usize,
+    step: &[&BoundExpr],
+    is_placed: impl Fn(usize) -> bool,
+) -> (bool, bool) {
+    let range = spec.from[t].attr_range();
+    let key_columns: BTreeSet<usize> = step
+        .iter()
+        .filter_map(|c| equi_join_key(c, &range, &is_placed))
+        .map(|(_, new)| new - range.start)
+        .collect();
+    let covered = spec.from[t]
+        .schema
+        .candidate_keys()
+        .any(|k| k.columns.iter().all(|c| key_columns.contains(c)));
+    (!key_columns.is_empty(), covered)
 }
 
 /// `n·log₂n` — the comparison cost of sorting `n` rows.
@@ -667,14 +974,16 @@ fn owner_tables(spec: &BoundSpec, conjunct: &BoundExpr) -> BTreeSet<usize> {
     owners
 }
 
-/// If `c` is `placed_attr = new_attr` (either direction) with the new
-/// side inside `range` and the other side satisfying `is_placed`, the
-/// new-side attribute index.
-fn equi_key_attr(
+/// Is this conjunct `built_attr = new_attr` (either direction) linking an
+/// already-bound attribute (per `is_placed`) to the table occupying
+/// `range`? Returns the `(built attr, new attr)` pair: the planners read
+/// join keys with it, the row and columnar executors and the view
+/// maintainer resolve them.
+pub fn equi_join_key(
     c: &BoundExpr,
     range: &std::ops::Range<usize>,
-    is_placed: impl Fn(usize) -> bool,
-) -> Option<usize> {
+    is_placed: &dyn Fn(usize) -> bool,
+) -> Option<(usize, usize)> {
     let BoundExpr::Cmp {
         op: CmpOp::Eq,
         left,
@@ -688,8 +997,8 @@ fn equi_key_attr(
         _ => return None,
     };
     match (range.contains(&a), range.contains(&b)) {
-        (false, true) if is_placed(a) => Some(b),
-        (true, false) if is_placed(b) => Some(a),
+        (false, true) if is_placed(a) => Some((a, b)),
+        (true, false) if is_placed(b) => Some((b, a)),
         _ => None,
     }
 }
@@ -729,8 +1038,9 @@ fn columnar_conjunct(spec: &BoundSpec, c: &BoundExpr) -> bool {
     }
 }
 
-/// Visit every attribute reference with its subquery depth.
-fn visit_attrs(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
+/// Visit every attribute reference with its subquery depth (0 for the
+/// conjunct's own block, one more per enclosing subquery).
+pub fn visit_attrs(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
     let scalar = |s: &BScalar, f: &mut dyn FnMut(usize, &AttrRef)| {
         if let BScalar::Attr(a) = s {
             f(depth, a);
@@ -836,7 +1146,7 @@ mod tests {
         let scan_est = p.ops[b.scan].est;
         assert!(
             join_est <= scan_est,
-            "join est {join_est} must not exceed outer est {scan_est}"
+            "join est {join_est:?} must not exceed outer est {scan_est:?}"
         );
     }
 
@@ -846,9 +1156,9 @@ mod tests {
         // the key's domain (5 suppliers), and exact here.
         let (p, _) = plan("SELECT DISTINCT S.SNO FROM SUPPLIER S");
         let b = block(&p);
-        assert_eq!(p.ops[b.project].est, 5);
+        assert_eq!(p.ops[b.project].est, Some(5));
         let d = b.distinct.unwrap();
-        assert_eq!(p.ops[d.id].est, 5);
+        assert_eq!(p.ops[d.id].est, Some(5));
     }
 
     #[test]
@@ -861,7 +1171,7 @@ mod tests {
             "{:?}",
             p.ops
         );
-        assert_eq!(p.ops[b.joins[0].id].est, 25);
+        assert_eq!(p.ops[b.joins[0].id].est, Some(25));
     }
 
     #[test]
@@ -888,7 +1198,7 @@ mod tests {
         // INTERSECT emits at most the smaller side (5 rows each way),
         // tightened by the hard domain cap: a distinct intersection over
         // SNO can emit at most min(dom) = 4 distinct values.
-        assert_eq!(p.ops[*id].est, 4);
+        assert_eq!(p.ops[*id].est, Some(4));
     }
 
     #[test]
@@ -901,13 +1211,13 @@ mod tests {
         let PhysNode::SetOp { id, .. } = &p.root else {
             panic!("expected setop root");
         };
-        assert_eq!(p.ops[*id].est, 7);
+        assert_eq!(p.ops[*id].est, Some(7));
         // UNION ALL has no dedup: the additive estimate stands.
         let (p2, _) = plan("SELECT S.SCITY FROM SUPPLIER S UNION ALL SELECT A.ACITY FROM AGENTS A");
         let PhysNode::SetOp { id: id2, .. } = &p2.root else {
             panic!("expected setop root");
         };
-        assert_eq!(p2.ops[*id2].est, 10);
+        assert_eq!(p2.ops[*id2].est, Some(10));
     }
 
     #[test]
@@ -1068,7 +1378,8 @@ mod tests {
         assert_eq!(ix.index(), Some("IDX_S_SNO"));
         assert!(ix.is_unique_index());
         assert_eq!(
-            p.ops[b.scan].est, 1,
+            p.ops[b.scan].est,
+            Some(1),
             "unique probe estimate is the hard bound 1"
         );
         assert_eq!(b.scan_deg, 1, "point lookups have nothing to morselize");

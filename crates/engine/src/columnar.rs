@@ -37,12 +37,12 @@
 //! counts one `vector_ops`, the columnar analogue of per-row dispatch.
 
 use crate::agg::{finalize_state, init_states, update_states, AggState};
-use crate::exec::{contains_subquery, equi_join_key, map_all_attr_refs, Executor};
+use crate::exec::{contains_subquery, Executor};
 use crate::parallel::{run_tasks, MORSEL_SIZE};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use uniq_catalog::{Database, Row, TableSchema};
-use uniq_cost::{BlockPlan, JoinMethod};
+use uniq_cost::{equi_join_key, BlockPlan, JoinMethod};
 use uniq_plan::{BScalar, BoundAgg, BoundAggItem, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
 use uniq_types::{DataType, NullBitmap, Result, TableName, Value};
@@ -773,27 +773,9 @@ fn exec_block_tuples<'a>(
     for (k, &t) in bp.order.iter().enumerate() {
         pos[t] = k;
     }
-    let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); n];
-    if let Some(pred) = &spec.predicate {
-        for c in pred.conjuncts() {
-            if contains_subquery(c) {
-                return Ok(None);
-            }
-            let mut level = 0usize;
-            let mut probe = c.clone();
-            map_all_attr_refs(&mut probe, &mut |depth, a| {
-                if a.up == depth {
-                    let owner = spec
-                        .from
-                        .iter()
-                        .position(|ft| ft.attr_range().contains(&a.idx));
-                    if let Some(at) = owner {
-                        level = level.max(pos[at]);
-                    }
-                }
-            });
-            levels[level].push(c);
-        }
+    let levels = uniq_cost::conjunct_levels(spec, &bp.order);
+    if levels.iter().flatten().any(|c| contains_subquery(c)) {
+        return Ok(None);
     }
 
     // Validate the whole block before touching any counter, so a

@@ -1,25 +1,29 @@
 //! The block executor.
 //!
-//! A bound block `π_d[A](σ[C](T0 × T1 × …))` executes as a left-deep
-//! pipeline over the `FROM` tables. Each top-level conjunct of `C` is
-//! assigned to the earliest pipeline position at which all the attributes
-//! it references are bound, so selections are pushed down as far as the
-//! conjunct structure allows. When two consecutive positions are linked by
-//! an equality conjunct and [`JoinMethod::Hash`] is selected, the join
-//! runs as a build/probe hash join (`NULL` join keys excluded on both
-//! sides, per `WHERE`-clause `=` semantics); otherwise nested loops.
+//! Every query runs under a [`PhysicalPlan`]: the cost-based planner's,
+//! or — when the caller supplies none — the fixed plan of the
+//! executor's own [`ExecOptions`] (see [`uniq_cost::fixed_plan`]). A
+//! bound block `π_d[A](σ[C](T0 × T1 × …))` executes as a left-deep
+//! pipeline over the `FROM` tables in the plan's order. Each top-level
+//! conjunct of `C` is evaluated at the earliest pipeline position at
+//! which all the attributes it references are bound
+//! ([`uniq_cost::conjunct_levels`]), so selections are pushed down as
+//! far as the conjunct structure allows. Each join step runs the plan's
+//! method: a build/probe hash join on its equality conjuncts (`NULL`
+//! join keys excluded on both sides, per `WHERE`-clause `=` semantics;
+//! a Cartesian product without them), nested loops, or an index probe.
 //!
-//! `EXISTS` evaluation uses the same machinery with a row limit of one —
-//! first-match early exit, the behaviour §6's navigational arguments rely
-//! on.
+//! `EXISTS` evaluation enumerates the block in `FROM` order and stops
+//! at the first qualifying tuple — first-match early exit, the
+//! behaviour §6's navigational arguments rely on.
 
 use crate::setops::{combine_setop, distinct};
-use crate::stats::{Degree, DistinctMethod, ExecStats, JoinMethod};
+use crate::stats::{Degree, ExecStats, JoinMethod};
 use std::collections::HashMap;
 use uniq_catalog::{Database, Row};
 use uniq_cost::{
-    find_index_probe, find_index_sarg, BlockPlan, IndexProbe, Justification, OutputOp, PhysNode,
-    PhysicalPlan, ProbeSource,
+    conjunct_levels, equi_join_key, find_index_probe, find_index_sarg, visit_attrs, BlockPlan,
+    IndexProbe, Justification, OutputOp, PhysNode, PhysicalPlan, ProbeSource,
 };
 use uniq_plan::{
     AttrRef, BScalar, BoundExpr, BoundOutput, BoundQuery, BoundSpec, FromTable, HostVars,
@@ -27,40 +31,9 @@ use uniq_plan::{
 use uniq_sql::CmpOp;
 use uniq_types::{Error, Result, Tri, Value};
 
-/// Executor tuning (which physical strategies to use).
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Duplicate-elimination strategy.
-    pub distinct: DistinctMethod,
-    /// Join strategy for multi-table blocks.
-    pub join: JoinMethod,
-    /// Worker budget for morsel-driven parallel execution (see
-    /// [`crate::parallel`]). The default is [`Degree::Serial`]: the
-    /// single-threaded path is the correctness oracle the parallel one
-    /// is tested against, and work counters stay exactly reproducible.
-    pub degree: Degree,
-    /// Allow the unique-key hash-join kernel when the build side's join
-    /// keys cover one of its candidate keys (no bucket chains, probe
-    /// stops at the first match). Off = always chain (ablation).
-    pub unique_kernels: bool,
-    /// Allow `ORDER BY key-prefix LIMIT k` queries to walk an ordered
-    /// index and stop after `k` emitted rows instead of scanning,
-    /// sorting and truncating. Off = always scan + sort (the oracle the
-    /// early-stopping path is tested against, and the E23 baseline).
-    pub early_stop: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            distinct: DistinctMethod::default(),
-            join: JoinMethod::default(),
-            degree: Degree::Serial,
-            unique_kernels: true,
-            early_stop: true,
-        }
-    }
-}
+/// Executor tuning: the static strategies a fixed plan is built from
+/// (defined next to the plan IR in `uniq-cost`).
+pub use uniq_cost::ExecOptions;
 
 /// Executes bound queries against a database.
 pub struct Executor<'a> {
@@ -104,41 +77,48 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Execute a query, returning its result rows. Physical strategies
-    /// come from the session-static [`ExecOptions`].
+    /// Execute a query under the fixed plan of this executor's
+    /// [`ExecOptions`], returning its result rows.
     pub fn run(&mut self, query: &BoundQuery) -> Result<Vec<Row>> {
         self.run_with_plan(query, None)
     }
 
-    /// Execute a query, taking per-node physical choices (join order,
-    /// join method, distinct method) from `plan` when one is supplied
-    /// and recording each operator's actual output cardinality (see
-    /// [`Executor::actuals`]). Without a plan, behaves like
-    /// [`Executor::run`].
+    /// Execute a query under `plan` (per-node join order, join and
+    /// distinct methods, degrees), recording each operator's actual
+    /// output cardinality (see [`Executor::actuals`]). Without a plan,
+    /// behaves like [`Executor::run`].
     pub fn run_with_plan(
         &mut self,
         query: &BoundQuery,
         plan: Option<&PhysicalPlan>,
     ) -> Result<Vec<Row>> {
-        if let Some(p) = plan {
-            self.actuals = vec![0; p.ops.len()];
-        }
-        let rows = self.exec_query(query, &[], plan.map(|p| &p.root))?;
+        let rows = match plan {
+            Some(p) => {
+                self.actuals = vec![0; p.ops.len()];
+                self.exec_query(query, &[], &p.root)?
+            }
+            None => {
+                self.actuals.clear();
+                let fixed = uniq_cost::fixed_node(query, self.opts);
+                self.exec_query(query, &[], &fixed)?
+            }
+        };
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
     }
 
     /// Execute a full query — body plus aggregation / `ORDER BY` /
-    /// `LIMIT` output clauses — optionally under a physical plan whose
-    /// [`OutputOp`]s get their actual
-    /// cardinalities recorded.
+    /// `LIMIT` output clauses — under `plan`, recording every
+    /// operator's actual cardinality. Without a plan, the fixed plan of
+    /// this executor's [`ExecOptions`] runs.
     ///
     /// Fast paths, in order:
     ///
     /// 1. **Early-stop Top-K** — a plain `ORDER BY key-prefix LIMIT k`
-    ///    whose license re-derives against the live catalog walks the
-    ///    ordered index and stops after `k` emitted rows (books
-    ///    `early_stops` / `topk_rows_examined`).
+    ///    whose plan carries an early-stop license, and whose license
+    ///    still re-derives against the live catalog, walks the ordered
+    ///    index and stops after `k` emitted rows (books `early_stops` /
+    ///    `topk_rows_examined`).
     /// 2. **Columnar aggregation** — an aggregate over a block the
     ///    planner marked columnar groups on dictionary codes without
     ///    materializing body rows.
@@ -151,97 +131,101 @@ impl<'a> Executor<'a> {
         output: &BoundOutput,
         plan: Option<&PhysicalPlan>,
     ) -> Result<Vec<Row>> {
+        let fixed;
+        let plan = match plan {
+            Some(p) => p,
+            None => {
+                fixed = uniq_cost::fixed_plan_unregistered(output, self.opts);
+                &fixed
+            }
+        };
         if let Some(plain) = output.as_plain() {
-            return self.run_with_plan(plain, plan);
+            return self.run_with_plan(plain, Some(plan));
         }
-        if let Some(p) = plan {
-            self.actuals = vec![0; p.ops.len()];
-        }
+        self.actuals = vec![0; plan.ops.len()];
 
-        // Early-stop Top-K. The license is re-derived from the bound
-        // output (cheap — pure catalog inspection) rather than trusted
-        // from the plan, and `early_stop_topk` still verifies the
-        // named index against the live catalog before probing.
-        if self.opts.early_stop {
-            if let (Some(k), Some(license)) = (output.limit, uniq_cost::early_stop_license(output))
-            {
-                if let Some(rows) = self.early_stop_topk(output, &license, k)? {
-                    if let Some(p) = plan {
-                        for op in &p.output {
-                            if let OutputOp::Limit { id, .. } = op {
-                                self.record(*id, rows.len());
-                            }
-                        }
-                    }
+        // Early-stop Top-K, when the plan licenses it. The license is
+        // re-derived from the bound output (cheap — pure catalog
+        // inspection) and must still name the planned index;
+        // `early_stop_topk` then verifies that index against the live
+        // catalog before probing.
+        let licensed = plan.output.iter().find_map(|op| match op {
+            OutputOp::Limit {
+                id,
+                early_stop: Some(license),
+            } => Some((*id, license)),
+            _ => None,
+        });
+        if let (Some((id, license)), Some(k)) = (licensed, output.limit) {
+            let live = uniq_cost::early_stop_license(output);
+            if live.is_some_and(|l| l.index() == license.index()) {
+                if let Some(rows) = self.early_stop_topk(output, license, k)? {
+                    self.record(id, rows.len());
                     self.stats.rows_output += rows.len() as u64;
                     return Ok(rows);
                 }
             }
         }
 
-        let mut rows = None;
-        if let Some(agg) = &output.agg {
-            // Columnar aggregate: dictionary-coded group keys, no body
-            // materialization. Same coverage gate as the plain path.
-            if let (Some(spec), Some(store), Some(p)) = (output.body.as_spec(), self.columns, plan)
-            {
-                if let PhysNode::Block(bp) = &p.root {
+        let mut rows = match &output.agg {
+            Some(agg) => {
+                // Columnar aggregate: dictionary-coded group keys, no
+                // body materialization. Same coverage gate as the plain
+                // path.
+                let mut grouped = None;
+                if let (Some(spec), Some(store), PhysNode::Block(bp)) =
+                    (output.body.as_spec(), self.columns, &plan.root)
+                {
                     if bp.columnar && plan_matches(bp, spec) {
-                        rows = crate::columnar::exec_block_agg(self, store, spec, bp, agg)?;
+                        grouped = crate::columnar::exec_block_agg(self, store, spec, bp, agg)?;
                     }
                 }
+                let rows = match grouped {
+                    Some(rows) => rows,
+                    None => {
+                        let body = self.exec_query(&output.body, &[], &plan.root)?;
+                        let deg = plan
+                            .output
+                            .iter()
+                            .find_map(|op| match op {
+                                OutputOp::Agg { deg, .. } => Some(*deg),
+                                _ => None,
+                            })
+                            .unwrap_or(1);
+                        crate::agg::aggregate_rows(agg, body, deg, &mut self.stats)?
+                    }
+                };
+                self.record_output(plan, |op| matches!(op, OutputOp::Agg { .. }), rows.len());
+                rows
             }
-            if rows.is_none() {
-                let body = self.exec_query(&output.body, &[], plan.map(|p| &p.root))?;
-                let deg = plan
-                    .and_then(|p| {
-                        p.output.iter().find_map(|op| match op {
-                            OutputOp::Agg { deg, .. } => Some(*deg),
-                            _ => None,
-                        })
-                    })
-                    .unwrap_or_else(|| self.static_degree(&[]));
-                rows = Some(crate::agg::aggregate_rows(agg, body, deg, &mut self.stats)?);
-            }
-        }
-        let mut rows = match rows {
-            Some(r) => r,
-            None => self.exec_query(&output.body, &[], plan.map(|p| &p.root))?,
+            None => self.exec_query(&output.body, &[], &plan.root)?,
         };
-        if output.agg.is_some() {
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Agg { id, .. } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
-        }
 
         if !output.order_by.is_empty() {
             self.sort_rows(&mut rows, &output.order_by)?;
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Sort { id } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
+            self.record_output(plan, |op| matches!(op, OutputOp::Sort { .. }), rows.len());
         }
 
         if let Some(k) = output.limit {
             rows.truncate(k.min(usize::MAX as u64) as usize);
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Limit { id, .. } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
+            self.record_output(plan, |op| matches!(op, OutputOp::Limit { .. }), rows.len());
         }
 
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
+    }
+
+    /// Record `count` rows for the first output operator of `plan`
+    /// matching `kind`.
+    fn record_output(
+        &mut self,
+        plan: &PhysicalPlan,
+        kind: impl Fn(&OutputOp) -> bool,
+        count: usize,
+    ) {
+        if let Some(op) = plan.output.iter().find(|op| kind(op)) {
+            self.record(op.id(), count);
+        }
     }
 
     /// Serve `ORDER BY key-prefix LIMIT k` by walking the licensed
@@ -340,6 +324,8 @@ impl<'a> Executor<'a> {
         &self.actuals
     }
 
+    /// Record an operator's output count; an
+    /// [`UNREGISTERED`](uniq_cost::UNREGISTERED) operator records nothing.
     pub(crate) fn record(&mut self, id: usize, count: usize) {
         if let Some(slot) = self.actuals.get_mut(id) {
             *slot = count as u64;
@@ -357,68 +343,46 @@ impl<'a> Executor<'a> {
         Executor::new(self.db, self.hostvars, opts)
     }
 
-    /// Worker budget on the static (non-cost-based) path: the session
-    /// degree at the top level, serial inside correlated evaluation
-    /// (non-empty outer scopes) — each parallel worker already owns the
-    /// subquery it is evaluating.
-    fn static_degree(&self, outer: &[Vec<Value>]) -> usize {
-        if outer.is_empty() {
-            self.opts.degree.resolve()
-        } else {
-            1
-        }
-    }
-
+    /// Run `query` under `node`. A node that no longer mirrors the
+    /// query's shape (a stale cached plan) gives way to the query's
+    /// fixed plan.
     fn exec_query(
         &mut self,
         query: &BoundQuery,
         outer: &[Vec<Value>],
-        node: Option<&PhysNode>,
+        node: &PhysNode,
     ) -> Result<Vec<Row>> {
-        match query {
-            BoundQuery::Spec(spec) => {
-                let block = match node {
-                    Some(PhysNode::Block(b)) => Some(b),
-                    _ => None,
-                };
-                self.exec_spec(spec, outer, block)
-            }
-            BoundQuery::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                // A plan node is used only when it mirrors the query
-                // shape; a mismatch falls back to static options.
-                let (l_node, r_node, method, id, deg) = match node {
-                    Some(PhysNode::SetOp {
-                        method,
-                        id,
-                        deg,
-                        left: l,
-                        right: r,
-                    }) => (Some(l.as_ref()), Some(r.as_ref()), *method, Some(*id), *deg),
-                    _ => (
-                        None,
-                        None,
-                        self.opts.distinct,
-                        None,
-                        self.static_degree(outer),
-                    ),
-                };
-                let deg = if outer.is_empty() { deg } else { 1 };
+        match (query, node) {
+            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => self.exec_spec(spec, outer, bp),
+            (
+                BoundQuery::SetOp {
+                    op,
+                    all,
+                    left,
+                    right,
+                },
+                PhysNode::SetOp {
+                    method,
+                    id,
+                    deg,
+                    left: l_node,
+                    right: r_node,
+                },
+            ) => {
+                let deg = if outer.is_empty() { *deg } else { 1 };
                 let l = self.exec_query(left, outer, l_node)?;
                 let r = self.exec_query(right, outer, r_node)?;
                 let out = if deg > 1 {
-                    crate::parallel::par_setop(*op, *all, l, r, method, deg, &mut self.stats)?
+                    crate::parallel::par_setop(*op, *all, l, r, *method, deg, &mut self.stats)?
                 } else {
-                    combine_setop(*op, *all, l, r, method, &mut self.stats)?
+                    combine_setop(*op, *all, l, r, *method, &mut self.stats)?
                 };
-                if let Some(id) = id {
-                    self.record(id, out.len());
-                }
+                self.record(*id, out.len());
                 Ok(out)
+            }
+            _ => {
+                let fixed = uniq_cost::fixed_node(query, self.opts);
+                self.exec_query(query, outer, &fixed)
             }
         }
     }
@@ -427,20 +391,25 @@ impl<'a> Executor<'a> {
         &mut self,
         spec: &BoundSpec,
         outer: &[Vec<Value>],
-        plan: Option<&BlockPlan>,
+        bp: &BlockPlan,
     ) -> Result<Vec<Row>> {
+        if !plan_matches(bp, spec) {
+            if spec.from.is_empty() {
+                return Err(Error::internal("block with empty FROM clause"));
+            }
+            let fixed = uniq_cost::fixed_block(spec, self.opts);
+            return self.exec_spec(spec, outer, &fixed);
+        }
         // Columnar fast path: only for top-level blocks the planner
         // marked columnar, and only when the store covers the block and
         // is fresh — `exec_block` returning `None` means "not covered",
         // and the row pipeline below handles the block as always.
-        if let (Some(bp), Some(store)) = (plan, self.columns) {
-            if bp.columnar && outer.is_empty() && plan_matches(bp, spec) {
-                if let Some(rows) = crate::columnar::exec_block(self, store, spec, bp)? {
-                    return Ok(rows);
-                }
+        if let Some(store) = self.columns.filter(|_| bp.columnar && outer.is_empty()) {
+            if let Some(rows) = crate::columnar::exec_block(self, store, spec, bp)? {
+                return Ok(rows);
             }
         }
-        let product = self.block_rows(spec, outer, plan)?;
+        let product = self.block_rows_planned(spec, outer, bp)?;
         let mut rows: Vec<Row> = product
             .into_iter()
             .map(|tuple| {
@@ -450,151 +419,49 @@ impl<'a> Executor<'a> {
                     .collect()
             })
             .collect();
-        if let Some(bp) = plan {
-            self.record(bp.project, rows.len());
-        }
-        if spec.distinct == uniq_sql::Distinct::Distinct {
-            let step = plan.and_then(|bp| bp.distinct);
-            let method = step.map(|d| d.method).unwrap_or(self.opts.distinct);
-            let deg = if outer.is_empty() {
-                step.map(|d| d.deg)
-                    .unwrap_or_else(|| self.static_degree(outer))
-            } else {
-                1
-            };
+        self.record(bp.project, rows.len());
+        if let Some(d) = bp.distinct {
+            let deg = if outer.is_empty() { d.deg } else { 1 };
             rows = if deg > 1 {
-                crate::parallel::par_distinct(rows, method, deg, &mut self.stats)?
+                crate::parallel::par_distinct(rows, d.method, deg, &mut self.stats)?
             } else {
-                distinct(rows, method, &mut self.stats)?
+                distinct(rows, d.method, &mut self.stats)?
             };
-            if let Some(d) = step {
-                self.record(d.id, rows.len());
-            }
+            self.record(d.id, rows.len());
         }
         Ok(rows)
     }
 
-    /// Materialize the filtered Cartesian product of a block (full-arity
-    /// tuples, before projection).
-    fn block_rows(
-        &mut self,
-        spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        plan: Option<&BlockPlan>,
-    ) -> Result<Vec<Row>> {
-        if let Some(bp) = plan {
-            if plan_matches(bp, spec) {
-                return self.block_rows_planned(spec, outer, bp);
-            }
-        }
-        let deg = self.static_degree(outer);
-        if deg > 1 && !spec.from.is_empty() {
-            return crate::parallel::block_rows_static(self, spec, outer, deg);
-        }
-        if self.opts.join == JoinMethod::Hash && spec.from.len() > 1 {
-            self.block_rows_hash(spec, outer)
-        } else {
-            let mut out = Vec::new();
-            self.enumerate(spec, outer, None, &mut out)?;
-            Ok(out)
-        }
-    }
-
-    /// Does the block produce at least one row? First-match early exit.
+    /// Does the block produce at least one row? Enumerates the block's
+    /// tables in `FROM` order and stops at the first qualifying tuple.
     fn block_exists(&mut self, spec: &BoundSpec, outer: &[Vec<Value>]) -> Result<bool> {
-        let mut out = Vec::new();
-        self.enumerate(spec, outer, Some(1), &mut out)?;
-        Ok(!out.is_empty())
-    }
-
-    // --- conjunct assignment -------------------------------------------
-
-    /// Cumulative attribute width after each table position.
-    pub(crate) fn prefix_widths(spec: &BoundSpec) -> Vec<usize> {
-        let mut widths = Vec::with_capacity(spec.from.len());
-        let mut acc = 0;
-        for t in &spec.from {
-            acc += t.schema.arity();
-            widths.push(acc);
-        }
-        widths
-    }
-
-    /// The smallest bound-attribute prefix a conjunct needs before it can
-    /// be evaluated (0 = no local references at all, including through
-    /// correlated subqueries).
-    fn required_prefix(conjunct: &BoundExpr) -> usize {
-        let mut required = 0usize;
-        let mut probe = conjunct.clone();
-        crate::exec::map_all_attr_refs(&mut probe, &mut |depth, a| {
-            if a.up == depth {
-                required = required.max(a.idx + 1);
-            }
-        });
-        required
-    }
-
-    /// Assign each top-level conjunct to the earliest pipeline level where
-    /// it is evaluable.
-    pub(crate) fn assign_conjuncts<'e>(
-        spec: &'e BoundSpec,
-        widths: &[usize],
-    ) -> Vec<Vec<&'e BoundExpr>> {
-        let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
-        if let Some(pred) = &spec.predicate {
-            for c in pred.conjuncts() {
-                let req = Self::required_prefix(c);
-                let level = widths
-                    .iter()
-                    .position(|&w| w >= req)
-                    .unwrap_or(spec.from.len() - 1);
-                levels[level].push(c);
-            }
-        }
-        levels
-    }
-
-    // --- nested-loop enumeration ---------------------------------------
-
-    fn enumerate(
-        &mut self,
-        spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        limit: Option<usize>,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
         if spec.from.is_empty() {
             return Err(Error::internal("block with empty FROM clause"));
         }
-        let widths = Self::prefix_widths(spec);
-        let levels = Self::assign_conjuncts(spec, &widths);
+        let order: Vec<usize> = (0..spec.from.len()).collect();
+        let levels = conjunct_levels(spec, &order);
         let mut scratch = vec![Value::Null; spec.product_arity()];
-        self.enumerate_level(spec, outer, &levels, 0, &mut scratch, limit, out)
+        self.enumerate(spec, outer, &levels, 0, &mut scratch)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_level(
+    /// Nested-loop enumeration from `level` on; `true` as soon as one
+    /// complete tuple passes every conjunct.
+    fn enumerate(
         &mut self,
         spec: &BoundSpec,
         outer: &[Vec<Value>],
         levels: &[Vec<&BoundExpr>],
         level: usize,
         scratch: &mut Vec<Value>,
-        limit: Option<usize>,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         if level == spec.from.len() {
-            out.push(scratch.clone());
-            return Ok(());
+            return Ok(true);
         }
         let table = &spec.from[level];
         let db = self.db;
         let rows = db.rows(&table.schema.name)?;
         let offset = table.offset;
         'rows: for row in rows {
-            if limit.is_some_and(|l| out.len() >= l) {
-                return Ok(());
-            }
             self.stats.rows_scanned += 1;
             scratch[offset..offset + row.len()].clone_from_slice(row);
             for conjunct in &levels[level] {
@@ -603,44 +470,11 @@ impl<'a> Executor<'a> {
                     continue 'rows;
                 }
             }
-            self.enumerate_level(spec, outer, levels, level + 1, scratch, limit, out)?;
-        }
-        Ok(())
-    }
-
-    // --- hash-join pipeline ---------------------------------------------
-
-    fn block_rows_hash(&mut self, spec: &BoundSpec, outer: &[Vec<Value>]) -> Result<Vec<Row>> {
-        let widths = Self::prefix_widths(spec);
-        let levels = Self::assign_conjuncts(spec, &widths);
-        let arity = spec.product_arity();
-
-        // Level 0: filtered scan.
-        let t0 = &spec.from[0];
-        let mut partials: Vec<Row> = Vec::new();
-        {
-            let db = self.db;
-            let rows = db.rows(&t0.schema.name)?;
-            let mut scratch = vec![Value::Null; arity];
-            'rows: for row in rows {
-                self.stats.rows_scanned += 1;
-                scratch[t0.offset..t0.offset + row.len()].clone_from_slice(row);
-                for c in &levels[0] {
-                    if !self.eval(c, outer, &scratch)?.false_interpreted() {
-                        continue 'rows;
-                    }
-                }
-                partials.push(scratch.clone());
+            if self.enumerate(spec, outer, levels, level + 1, scratch)? {
+                return Ok(true);
             }
         }
-
-        for (level, table) in spec.from.iter().enumerate().skip(1) {
-            let range = table.attr_range();
-            partials = self.hash_step(table, outer, partials, &levels[level], arity, &|idx| {
-                idx < range.start
-            })?;
-        }
-        Ok(partials)
+        Ok(false)
     }
 
     /// One step of the hash pipeline: join `table` onto `partials` using
@@ -753,10 +587,11 @@ impl<'a> Executor<'a> {
         Ok(next)
     }
 
-    // --- cost-based pipeline ---------------------------------------------
+    // --- planned pipeline -------------------------------------------------
 
-    /// Execute a block following a cost-based [`BlockPlan`]: the
-    /// planner's join input order, its per-step join methods, and
+    /// Materialize the filtered product of a block (full-arity tuples,
+    /// before projection) following its [`BlockPlan`]: the join input
+    /// order, per-step join methods and degrees, index licenses, and
     /// per-operator actual-output recording.
     fn block_rows_planned(
         &mut self,
@@ -765,35 +600,7 @@ impl<'a> Executor<'a> {
         bp: &BlockPlan,
     ) -> Result<Vec<Row>> {
         let arity = spec.product_arity();
-        let n = spec.from.len();
-
-        // Assign each top-level conjunct to the earliest *planned*
-        // position at which every table it references is bound
-        // (references from nested subqueries included — they see this
-        // block's attributes as correlated outers).
-        let mut pos = vec![0usize; n];
-        for (k, &t) in bp.order.iter().enumerate() {
-            pos[t] = k;
-        }
-        let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); n];
-        if let Some(pred) = &spec.predicate {
-            for c in pred.conjuncts() {
-                let mut level = 0usize;
-                let mut probe = c.clone();
-                map_all_attr_refs(&mut probe, &mut |depth, a| {
-                    if a.up == depth {
-                        let owner = spec
-                            .from
-                            .iter()
-                            .position(|ft| ft.attr_range().contains(&a.idx));
-                        if let Some(at) = owner {
-                            level = level.max(pos[at]);
-                        }
-                    }
-                });
-                levels[level].push(c);
-            }
-        }
+        let levels = conjunct_levels(spec, &bp.order);
 
         // First table of the planned order: filtered scan. Planned
         // degrees apply only at the top level — correlated evaluation
@@ -898,7 +705,7 @@ impl<'a> Executor<'a> {
                         arity,
                         &|idx| placed.iter().any(|r| r.contains(&idx)),
                         deg,
-                        Some(step.unique),
+                        step.unique,
                     )?;
                     self.stats.merge(&s);
                     partials = next;
@@ -1178,7 +985,14 @@ impl<'a> Executor<'a> {
                 let v = self.scalar(scalar, outer, current)?;
                 let mut scopes: Vec<Vec<Value>> = outer.to_vec();
                 scopes.push(current.to_vec());
-                let rows = self.exec_spec(subquery, &scopes, None)?;
+                // A fixed block built per evaluation, outside the
+                // operator registry (correlated evaluation is serial).
+                let opts = ExecOptions {
+                    degree: Degree::Serial,
+                    ..self.opts
+                };
+                let bp = uniq_cost::fixed_block(subquery, opts);
+                let rows = self.exec_spec(subquery, &scopes, &bp)?;
                 // SQL IN semantics: true if any comparison is true;
                 // otherwise unknown if any comparison is unknown (or the
                 // tested value is NULL and the set is non-empty); false
@@ -1229,7 +1043,7 @@ fn cmp_tri(op: CmpOp, l: &Value, r: &Value) -> Result<Tri> {
 }
 
 /// One hash-pipeline step's conjuncts, split by role (shared between the
-/// serial [`Executor::hash_step`] and the partitioned parallel kernels in
+/// serial `Executor::hash_step` and the partitioned parallel kernels in
 /// [`crate::parallel`]).
 pub(crate) struct StepConjuncts<'e> {
     /// Conjuncts touching only the incoming table: filter its build side.
@@ -1261,8 +1075,7 @@ pub(crate) fn classify_step_conjuncts<'e>(
             continue;
         }
         let mut only_new = true;
-        let mut probe = c.clone();
-        map_all_attr_refs(&mut probe, &mut |depth, a| {
+        visit_attrs(c, 0, &mut |depth, a| {
             if a.up == depth && !range.contains(&a.idx) {
                 only_new = false;
             }
@@ -1278,39 +1091,15 @@ pub(crate) fn classify_step_conjuncts<'e>(
     out
 }
 
-/// Is this conjunct `built_attr = new_attr` (either direction) linking an
-/// already-bound attribute (per `is_placed`) to the table occupying
-/// `range`? (Shared with the columnar kernels, which resolve the same
-/// keys against encoded columns.)
-pub(crate) fn equi_join_key(
-    c: &BoundExpr,
-    range: &std::ops::Range<usize>,
-    is_placed: &dyn Fn(usize) -> bool,
-) -> Option<(usize, usize)> {
-    let BoundExpr::Cmp {
-        op: CmpOp::Eq,
-        left,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let (a, b) = match (left, right) {
-        (BScalar::Attr(a), BScalar::Attr(b)) if a.is_local() && b.is_local() => (a.idx, b.idx),
-        _ => return None,
-    };
-    match (range.contains(&a), range.contains(&b)) {
-        (false, true) if is_placed(a) => Some((a, b)),
-        (true, false) if is_placed(b) => Some((b, a)),
-        _ => None,
-    }
-}
-
 /// Does `bp` still describe this block's shape? Guards against a stale
 /// cached plan being applied after a rewrite changed the block.
 fn plan_matches(bp: &BlockPlan, spec: &BoundSpec) -> bool {
     let n = spec.from.len();
-    if n == 0 || bp.order.len() != n || bp.joins.len() != n - 1 {
+    if n == 0
+        || bp.order.len() != n
+        || bp.joins.len() != n - 1
+        || bp.distinct.is_some() != (spec.distinct == uniq_sql::Distinct::Distinct)
+    {
         return false;
     }
     let mut seen = vec![false; n];
@@ -1326,65 +1115,6 @@ pub(crate) fn contains_subquery(e: &BoundExpr) -> bool {
         BoundExpr::Not(a) => contains_subquery(a),
         _ => false,
     }
-}
-
-/// Visit every attribute reference in `e` with its subquery depth
-/// (re-exported plumbing shared with `uniq-core`'s rewrites, duplicated
-/// here to keep the engine independent of the optimizer's internals).
-pub(crate) fn map_all_attr_refs(e: &mut BoundExpr, f: &mut impl FnMut(usize, &mut AttrRef)) {
-    fn go(e: &mut BoundExpr, depth: usize, f: &mut impl FnMut(usize, &mut AttrRef)) {
-        let scalar = |s: &mut BScalar, depth: usize, f: &mut dyn FnMut(usize, &mut AttrRef)| {
-            if let BScalar::Attr(a) = s {
-                f(depth, a);
-            }
-        };
-        match e {
-            BoundExpr::Cmp { left, right, .. } => {
-                scalar(left, depth, f);
-                scalar(right, depth, f);
-            }
-            BoundExpr::Between {
-                scalar: s,
-                low,
-                high,
-                ..
-            } => {
-                scalar(s, depth, f);
-                scalar(low, depth, f);
-                scalar(high, depth, f);
-            }
-            BoundExpr::InList {
-                scalar: s, list, ..
-            } => {
-                scalar(s, depth, f);
-                for item in list {
-                    scalar(item, depth, f);
-                }
-            }
-            BoundExpr::IsNull { scalar: s, .. } => scalar(s, depth, f),
-            BoundExpr::Exists { subquery, .. } => {
-                if let Some(p) = &mut subquery.predicate {
-                    go(p, depth + 1, f);
-                }
-            }
-            BoundExpr::InSubquery {
-                scalar: s,
-                subquery,
-                ..
-            } => {
-                scalar(s, depth, f);
-                if let Some(p) = &mut subquery.predicate {
-                    go(p, depth + 1, f);
-                }
-            }
-            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
-                go(a, depth, f);
-                go(b, depth, f);
-            }
-            BoundExpr::Not(a) => go(a, depth, f),
-        }
-    }
-    go(e, 0, f);
 }
 
 #[cfg(test)]

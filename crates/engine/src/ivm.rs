@@ -36,13 +36,14 @@
 //! the stale proof, and key-probe shortcuts consult the *live*
 //! snapshot's catalog exactly like the executor's `index_fresh` check.
 
-use crate::exec::{equi_join_key, ExecOptions, Executor};
+use crate::exec::{ExecOptions, Executor};
 use crate::setops::output_count;
 use crate::stats::ExecStats;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row};
 use uniq_core::analysis::unique_projection;
+use uniq_cost::equi_join_key;
 use uniq_plan::{BoundExpr, BoundOutput, BoundQuery, BoundSpec, HostVars};
 use uniq_proof::{check_equiv, ProofStatus};
 use uniq_sql::{Distinct, SetOp};

@@ -16,9 +16,11 @@
 //! * `EXISTS` subqueries run correlated with first-match early exit —
 //!   the property §6 exploits on navigational systems.
 //!
-//! Joins run as hash equi-joins when an equality conjunct links two
-//! tables (the "alternate join methods" an optimizer buys by rewriting a
-//! subquery to a join, §5.2), falling back to nested loops. Every
+//! Every query runs under a physical plan — cost-based after `ANALYZE`,
+//! otherwise the fixed plan of the session's `ExecOptions` — whose join
+//! steps are hash equi-joins where an equality conjunct links two tables
+//! (the "alternate join methods" an optimizer buys by rewriting a
+//! subquery to a join, §5.2), nested loops, or index probes. Every
 //! operator maintains [`stats::ExecStats`] counters so experiments can
 //! report *work* (rows scanned, comparisons, probes) as well as time.
 //!
@@ -46,7 +48,7 @@ pub mod stats;
 
 pub use columnar::{ColumnBatch, ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
 pub use exec::{ExecOptions, Executor};
-pub use explain::{explain, explain_with_trace, render_trace};
+pub use explain::render_trace;
 pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
 pub use parallel::MORSEL_SIZE;
 pub use plancache::{CacheStats, CachedPlan, PlanCache};

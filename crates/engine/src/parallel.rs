@@ -1,5 +1,9 @@
 //! Morsel-driven intra-query parallelism.
 //!
+//! These are operator kernels, not a second executor: the one planned
+//! pipeline in [`crate::exec`] calls them wherever its plan — cost-based
+//! or fixed — assigns an operator a degree above 1.
+//!
 //! Scans are split into fixed-size *morsels* ([`MORSEL_SIZE`] rows)
 //! claimed off a shared atomic cursor by a scoped worker pool
 //! (`std::thread::scope` — no dependencies, no detached threads).
@@ -15,10 +19,10 @@
 //! Two uniqueness-derived kernels ride on top:
 //!
 //! * when a join step's keys cover a candidate key of the build side
-//!   (planner-proved via the PR 3 bounds, or re-derived here from the
-//!   catalog on the static path), the partition task builds a
-//!   *unique-key* table — one slot per key, no bucket chains — and each
-//!   probe costs exactly one step instead of walking a chain;
+//!   (the plan's `unique` flag, set by the cost-based and the fixed
+//!   planner alike), the partition task builds a *unique-key* table —
+//!   one slot per key, no bucket chains — and each probe costs exactly
+//!   one step instead of walking a chain;
 //! * blocks the optimizer proved duplicate-free never reach the dedup
 //!   operator at all (the rewrite removed it), so the parallel path
 //!   inherits that saving for free.
@@ -34,14 +38,14 @@
 
 use crate::exec::{classify_step_conjuncts, Executor, StepConjuncts};
 use crate::setops::{combine_setop, distinct};
-use crate::stats::{DistinctMethod, ExecStats, JoinMethod};
+use crate::stats::{DistinctMethod, ExecStats};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use uniq_catalog::Row;
-use uniq_plan::{BoundExpr, BoundSpec, FromTable};
+use uniq_plan::{BoundExpr, FromTable};
 use uniq_sql::SetOp;
 use uniq_types::{Error, Result, Value};
 
@@ -196,31 +200,13 @@ pub(crate) fn par_scan(
     Ok((all, stats))
 }
 
-/// Do the step's equality keys cover a candidate key of the incoming
-/// table? (The static-path re-derivation of what the cost-based planner
-/// proves from its cardinality bounds.)
-fn key_covers_candidate(
-    table: &FromTable,
-    join_keys: &[(usize, usize)],
-    range: &std::ops::Range<usize>,
-) -> bool {
-    let cols: Vec<usize> = join_keys
-        .iter()
-        .map(|&(_, new)| new - range.start)
-        .collect();
-    table
-        .schema
-        .candidate_keys()
-        .any(|k| k.columns.iter().all(|c| cols.contains(c)))
-}
-
 /// One partitioned-hash-join step: radix-partition the (parallel,
 /// filtered) build side and the probe partials on the join-key hash,
 /// then run one independent build+probe task per partition. With a
-/// key-covered build side (per `unique_hint`, or re-derived from the
-/// catalog when the hint is absent) each partition uses the unique-key
-/// kernel: one slot per key, probe costs exactly one step. Residual
-/// conjuncts are filtered morsel-parallel afterwards.
+/// key-covered build side (`unique_hint`, the plan's
+/// [`JoinStep::unique`](uniq_cost::JoinStep::unique)) each partition
+/// uses the unique-key kernel: one slot per key, probe costs exactly
+/// one step. Residual conjuncts are filtered morsel-parallel afterwards.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn par_hash_step(
     ex: &Executor<'_>,
@@ -231,7 +217,7 @@ pub(crate) fn par_hash_step(
     arity: usize,
     is_placed: &dyn Fn(usize) -> bool,
     degree: usize,
-    unique_hint: Option<bool>,
+    unique_hint: bool,
 ) -> Result<(Vec<Row>, ExecStats)> {
     let range = table.attr_range();
     let StepConjuncts {
@@ -286,8 +272,7 @@ pub(crate) fn par_hash_step(
         next = outputs.into_iter().flatten().collect();
     } else {
         stats.hash_joins += 1;
-        let unique = ex.opts.unique_kernels
-            && unique_hint.unwrap_or_else(|| key_covers_candidate(table, &join_keys, &range));
+        let unique = ex.opts.unique_kernels && unique_hint;
         let build_hash = |row: &Row| -> Option<u64> {
             let mut h = DefaultHasher::new();
             for &(_, new_attr) in &join_keys {
@@ -446,43 +431,6 @@ pub(crate) fn par_nl_step(
         all.extend(rows);
     }
     Ok((all, stats))
-}
-
-/// Execute a block's pipeline morsel-parallel under the session-static
-/// options (the cost-based path carries per-step degrees in its
-/// [`uniq_cost::BlockPlan`] instead).
-pub(crate) fn block_rows_static(
-    ex: &mut Executor<'_>,
-    spec: &BoundSpec,
-    outer: &[Vec<Value>],
-    degree: usize,
-) -> Result<Vec<Row>> {
-    let widths = Executor::prefix_widths(spec);
-    let levels = Executor::assign_conjuncts(spec, &widths);
-    let arity = spec.product_arity();
-    let (mut partials, s) = par_scan(ex, &spec.from[0], &levels[0], outer, arity, degree)?;
-    ex.stats.merge(&s);
-    for (level, table) in spec.from.iter().enumerate().skip(1) {
-        let range = table.attr_range();
-        let (next, s) = if ex.opts.join == JoinMethod::Hash {
-            par_hash_step(
-                ex,
-                table,
-                outer,
-                partials,
-                &levels[level],
-                arity,
-                &|idx| idx < range.start,
-                degree,
-                None,
-            )?
-        } else {
-            par_nl_step(ex, table, outer, partials, &levels[level], degree)?
-        };
-        ex.stats.merge(&s);
-        partials = next;
-    }
-    Ok(partials)
 }
 
 /// Partition-local duplicate elimination: partition on the full-row

@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{LockResult, PoisonError, RwLock};
 use uniq_core::pipeline::RewriteTrace;
 use uniq_plan::BoundOutput;
 use uniq_types::{ColumnName, Fnv64};
@@ -60,8 +60,9 @@ pub struct CachedPlan {
     /// Output column names (derived from `query`, cached to keep the
     /// hit path allocation-light).
     pub columns: Vec<ColumnName>,
-    /// The cost-based physical plan, when the session planned one
-    /// (`None` for sessions running on static executor options).
+    /// The physical plan: cost-based, or the fixed plan of the static
+    /// executor options. The serving pipeline always sets it; an
+    /// executor handed `None` runs the fixed plan of its own options.
     pub physical: Option<std::sync::Arc<uniq_cost::PhysicalPlan>>,
 }
 
@@ -196,6 +197,24 @@ impl PlanCache {
         PlanCache::fingerprint_with(PlanCache::sql_hash(canonical), options_tag)
     }
 
+    /// Take `shard`'s lock through `lock`. A panic while a thread held
+    /// the shard poisons it; the shard is then emptied (a cache may
+    /// always forget) and the poison cleared, so one failed statement
+    /// never fails every later one.
+    fn locked<'s, G>(
+        shard: &'s RwLock<HashMap<u64, Entry>>,
+        lock: impl Fn(&'s RwLock<HashMap<u64, Entry>>) -> LockResult<G>,
+    ) -> G {
+        if shard.is_poisoned() {
+            shard
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
+            shard.clear_poison();
+        }
+        lock(shard).unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Entry>> {
         // High bits: FNV mixes them well, and the low bits already pick
         // the bucket inside the shard's HashMap.
@@ -219,7 +238,7 @@ impl PlanCache {
         let shard = self.shard(fingerprint);
         let mut stale = false;
         {
-            let map = shard.read().expect("plan cache shard poisoned");
+            let map = Self::locked(shard, RwLock::read);
             match map.get(&fingerprint) {
                 Some(entry) if entry.text == canonical => {
                     if entry.catalog_version == catalog_version {
@@ -234,7 +253,7 @@ impl PlanCache {
             }
         }
         if stale {
-            let mut map = shard.write().expect("plan cache shard poisoned");
+            let mut map = Self::locked(shard, RwLock::write);
             // Re-check under the write lock: another thread may already
             // have replaced the stale entry with a fresh compilation.
             if let Some(entry) = map.get(&fingerprint) {
@@ -271,7 +290,7 @@ impl PlanCache {
             plan: std::sync::Arc::clone(&plan),
         };
         let shard = self.shard(fingerprint);
-        let mut map = shard.write().expect("plan cache shard poisoned");
+        let mut map = Self::locked(shard, RwLock::write);
         if map.len() >= self.shard_capacity && !map.contains_key(&fingerprint) {
             if let Some((&victim, _)) = map
                 .iter()
@@ -290,7 +309,7 @@ impl PlanCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("plan cache shard poisoned").len())
+            .map(|s| Self::locked(s, RwLock::read).len())
             .sum()
     }
 
@@ -302,7 +321,7 @@ impl PlanCache {
     /// Drop every cached plan (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().expect("plan cache shard poisoned").clear();
+            Self::locked(shard, RwLock::write).clear();
         }
     }
 
@@ -345,6 +364,31 @@ mod tests {
         assert!(cache.get(fp, "SELECT 1", 1).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_panic_holding_a_shard_poisons_no_later_call() {
+        let cache = PlanCache::new(16);
+        let fp = PlanCache::fingerprint("Q", 0);
+        cache.insert(fp, "Q", 1, plan());
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = cache.shard(fp).write().unwrap();
+                    panic!("statement failed while holding the shard");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.shard(fp).is_poisoned());
+        // The poisoned shard forgets its plans and serves on.
+        assert!(cache.get(fp, "Q", 1).is_none(), "the shard was emptied");
+        assert!(!cache.shard(fp).is_poisoned());
+        cache.insert(fp, "Q", 1, plan());
+        assert!(cache.get(fp, "Q", 1).is_some());
+        assert_eq!(cache.stats().insertions, 2);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

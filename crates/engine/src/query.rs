@@ -2,13 +2,16 @@
 //! [`SharedEngine`](crate::SharedEngine).
 //!
 //! parse → canonical fingerprint → plan-cache probe → on a miss, bind +
-//! optimize + physical plan + insert → execute. `EXPLAIN` walks the same
-//! path and renders the plan instead of returning rows; `compile` is the
+//! optimize + physical plan + insert → execute. Every cached plan
+//! carries a physical plan: the cost-based one when the surface plans
+//! physically and has statistics, otherwise the fixed plan of its static
+//! [`ExecOptions`]. `EXPLAIN` walks the same path, runs the plan and
+//! renders it with each operator's measured rows; `compile` is the
 //! uncached bind + optimize step a subscription materializes its view
 //! from. The two surfaces differ only in the [`Pipeline`] they build:
 //! which database it runs on (the session's own, or a snapshot the
 //! engine pinned once for the whole statement) and whether statistics
-//! license physical planning.
+//! license cost-based planning.
 
 use crate::columnar::ColumnStore;
 use crate::exec::{ExecOptions, Executor};
@@ -20,7 +23,7 @@ use std::time::Instant;
 use uniq_catalog::Database;
 use uniq_core::optimize_output;
 use uniq_core::pipeline::{Optimizer, OptimizerOptions, RewriteTrace};
-use uniq_cost::{plan_output, PlannerOptions, Statistics};
+use uniq_cost::{session_plan, PlannerOptions, Statistics};
 use uniq_plan::{bind_output, BoundOutput, BoundQuery, HostVars};
 use uniq_sql::{parse_statement, Query, Statement};
 use uniq_types::{fnv64, Error, Result};
@@ -58,8 +61,8 @@ pub(crate) struct Pipeline<'a> {
     pub(crate) exec: ExecOptions,
     pub(crate) planner: PlannerOptions,
     pub(crate) analysis: &'a Analysis,
-    /// Plan physically whenever `analysis` has statistics; otherwise
-    /// the static [`ExecOptions`] strategies run.
+    /// Plan cost-based whenever `analysis` has statistics; otherwise
+    /// the fixed plan of the static [`ExecOptions`] strategies runs.
     pub(crate) cost_based: bool,
 }
 
@@ -105,31 +108,38 @@ impl Pipeline<'_> {
         self.execute(&plan, cache_hit, hostvars, timings)
     }
 
-    /// `EXPLAIN`: the rewrite trace, the physical plan and, under a
-    /// cost-based plan, the estimated and measured rows per operator. A
-    /// miss compiles and caches the plan exactly as a query would.
+    /// `EXPLAIN`: the rewrite trace, then the physical plan with every
+    /// operator's estimated (`est=?` on a fixed plan) and measured rows.
+    /// A miss compiles and caches the plan exactly as a query would.
     /// Returns the rendered text and the canonical query text.
     pub(crate) fn explain(&self, sql: &str) -> Result<(String, String)> {
         let (plan, cache_hit, canonical) = self.prepare(sql, &mut StageTimings::new())?;
         let source = if cache_hit { "cached" } else { "compiled" };
-        let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-        let mut text = format!("Plan: {source}\n{body}");
-        if let Some(physical) = plan.physical.as_deref() {
-            // EXPLAIN binds no host variables, so a query that needs
-            // them cannot run and renders `act=?`.
-            let hostvars = HostVars::new();
-            let mut executor = self.executor(&hostvars);
-            let ran = executor.run_output(&plan.query, Some(physical)).is_ok();
-            let actuals = ran.then(|| executor.actuals());
-            text.push_str("Cost-based plan (est/act rows):\n");
-            text.push_str(&physical.render(1, actuals));
-        }
+        let fixed;
+        let physical = match plan.physical.as_deref() {
+            Some(p) => p,
+            None => {
+                fixed = uniq_cost::fixed_plan(&plan.query, self.exec);
+                &fixed
+            }
+        };
+        // EXPLAIN binds no host variables, so a query that needs them
+        // cannot run and renders `act=?`.
+        let hostvars = HostVars::new();
+        let mut executor = self.executor(&hostvars);
+        let ran = executor.run_output(&plan.query, Some(physical)).is_ok();
+        let actuals = ran.then(|| executor.actuals());
+        let text = format!(
+            "Plan: {source}\n{}Physical plan:\n{}",
+            crate::explain::render_trace(&plan.trace),
+            physical.render(1, actuals)
+        );
         Ok((text, canonical))
     }
 
-    /// Bind and optimize `sql` with no cache and no physical plan, for a
-    /// view that is materialized once and then maintained incrementally.
-    /// Returns the canonical text and the plan.
+    /// Bind and optimize `sql` with no cache and no cost-based plan, for
+    /// a view that is materialized once and then maintained
+    /// incrementally. Returns the canonical text and the plan.
     pub(crate) fn compile(&self, sql: &str) -> Result<(String, CachedPlan)> {
         let ast = parse(sql)?;
         let bound = bind_output(self.db.catalog(), &ast)?;
@@ -149,7 +159,7 @@ impl Pipeline<'_> {
         self.execute(&plan, false, hostvars, timings)
     }
 
-    /// Parse, bind and execute `sql` with no rewriting and no physical
+    /// Parse, bind and execute `sql` with no rewriting, under the fixed
     /// plan: the baseline every rewrite is measured against.
     pub(crate) fn query_unoptimized(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
         let mut timings = StageTimings::new();
@@ -193,22 +203,24 @@ impl Pipeline<'_> {
         Ok((plan, false, canonical))
     }
 
-    /// Run the rewrite pipeline over `bound` and, when `physical` is
-    /// set, the cost-based planner (which also needs this pipeline to
-    /// plan physically and `ANALYZE` to have collected statistics).
+    /// Run the rewrite pipeline over `bound` and plan it physically:
+    /// cost-based when `cost_based` is set, this pipeline plans
+    /// cost-based and `ANALYZE` has collected statistics; otherwise the
+    /// fixed plan of the static strategies.
     fn optimize(
         &self,
         bound: &BoundOutput,
-        physical: bool,
+        cost_based: bool,
         timings: &mut StageTimings,
     ) -> CachedPlan {
         timed(&mut timings.optimize_ns, || {
             let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), bound);
             let stats = self.analysis.stats.as_deref();
-            let physical = stats.filter(|_| physical && self.cost_based);
+            let stats = stats.filter(|_| cost_based && self.cost_based);
+            let physical = session_plan(&query, stats, self.planner, self.exec);
             CachedPlan {
                 columns: query.output_names(),
-                physical: physical.map(|stats| Arc::new(plan_output(&query, stats, self.planner))),
+                physical: Some(Arc::new(physical)),
                 query,
                 trace,
             }
@@ -239,7 +251,9 @@ impl Pipeline<'_> {
             stats: executor.stats,
             timings,
             cache_hit,
-            cards: physical.map(|p| p.card_report(executor.actuals())),
+            cards: physical
+                .filter(|p| p.estimated())
+                .map(|p| p.card_report(executor.actuals())),
         })
     }
 }

@@ -37,7 +37,8 @@ pub struct QueryOutput {
     /// Whether the plan came from the session's plan cache.
     pub cache_hit: bool,
     /// Per-operator estimated vs. actual cardinalities, when the query
-    /// ran under a cost-based physical plan (`None` on the static path).
+    /// ran under a cost-based physical plan (`None` under a fixed plan,
+    /// which carries no estimates).
     pub cards: Option<CardReport>,
 }
 
@@ -54,8 +55,9 @@ pub struct Session {
     pub db: Database,
     /// Rewrite configuration applied before execution.
     pub optimizer: OptimizerOptions,
-    /// Static physical execution strategies, used when cost-based
-    /// planning is off (or no statistics have been collected).
+    /// Static physical execution strategies: their fixed plan runs
+    /// when cost-based planning is off (or no statistics have been
+    /// collected).
     pub exec: ExecOptions,
     /// Cost-based planner configuration.
     pub planner: PlannerOptions,
@@ -571,16 +573,22 @@ mod tests {
         let sql = "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         let out = s.explain(sql).unwrap();
-        assert!(out.contains("Cost-based plan (est/act rows):"), "{out}");
-        let section = out.split("Cost-based plan (est/act rows):").nth(1).unwrap();
+        let section = out.split("Physical plan:").nth(1).unwrap();
         for line in section.lines().filter(|l| !l.trim().is_empty()) {
             assert!(line.contains("est="), "{line}");
             assert!(line.contains("act="), "{line}");
         }
+        assert!(!section.contains("est=?"), "estimated: {out}");
         assert!(!section.contains("act=?"), "actuals were measured: {out}");
-        // The static session's EXPLAIN has no cost section.
+        // The static session's EXPLAIN renders its fixed plan the same
+        // way: no estimates, measured actuals.
         let plain = Session::sample().unwrap().explain(sql).unwrap();
-        assert!(!plain.contains("Cost-based plan"), "{plain}");
+        let section = plain.split("Physical plan:").nth(1).unwrap();
+        assert!(
+            section.contains("HashJoin with Scan PARTS AS P est=? act=4"),
+            "{plain}"
+        );
+        assert!(!section.contains("act=?"), "{plain}");
     }
 
     #[test]
@@ -589,7 +597,7 @@ mod tests {
         let out = s
             .explain("SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = :CITY")
             .unwrap();
-        assert!(out.contains("Cost-based plan (est/act rows):"), "{out}");
+        assert!(out.contains("Physical plan:"), "{out}");
         assert!(out.contains("act=?"), "unbound host variable: {out}");
     }
 
@@ -832,13 +840,96 @@ mod tests {
             .unwrap();
         let sql = "SELECT S.SNO, S.BUDGET FROM SUPPLIER S ORDER BY S.BUDGET LIMIT 2";
         let on = s.explain(sql).unwrap();
-        assert!(on.contains("Limit 2 early-stop(IDX_S_BUDGET)"), "{on}");
+        assert!(
+            on.contains("Limit 2 est=? act=2 early-stop(IDX_S_BUDGET)"),
+            "{on}"
+        );
         assert!(!on.contains("Sort ["), "the index serves the order: {on}");
         let off = s.clone().with_agg_elision(false);
         let plain = off.explain(sql).unwrap();
-        assert!(plain.contains("Limit 2\n"), "{plain}");
+        assert!(plain.contains("Limit 2 est=? act=2\n"), "{plain}");
         assert!(plain.contains("Sort [BUDGET]"), "{plain}");
         assert!(!plain.contains("early-stop"), "{plain}");
+    }
+
+    #[test]
+    fn cost_based_explain_claims_no_early_stop_the_session_turned_off() {
+        let mut s = Session::sample().unwrap();
+        s.run_script("CREATE INDEX IX_S_SNO ON SUPPLIER (SNO);")
+            .unwrap();
+        let s = s.with_agg_elision(false).with_cost_based();
+        let sql = "SELECT S.SNO FROM SUPPLIER S ORDER BY S.SNO LIMIT 2";
+        let text = s.explain(sql).unwrap();
+        assert!(text.contains("Sort [SNO] est="), "{text}");
+        assert!(!text.contains("early-stop("), "{text}");
+        // The plan says what runs: a full scan and a sort.
+        let out = s.query(sql).unwrap();
+        assert_eq!((out.stats.early_stops, out.stats.sorts), (0, 1));
+    }
+
+    /// Run `f` on a thread with the 2 MiB stack a `uniqd` connection
+    /// thread gets.
+    fn on_connection_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(scope, f)
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+    }
+
+    /// A WHERE clause nested `n` parentheses deep (depth `n + 2`).
+    fn nested_parens(n: usize) -> String {
+        format!(
+            "SELECT S.SNO FROM SUPPLIER S WHERE {}S.SNO = 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    }
+
+    /// A flat chain of `n` conjuncts: a left-deep `AND` tree (depth
+    /// `n + 1`).
+    fn conjunct_chain(n: usize) -> String {
+        format!(
+            "SELECT S.SNO FROM SUPPLIER S WHERE {}S.SNO = 1",
+            "S.SNO = 1 AND ".repeat(n - 1)
+        )
+    }
+
+    #[test]
+    fn ten_thousand_nested_parentheses_are_an_error() {
+        let s = Session::sample().unwrap();
+        let err = on_connection_stack(|| s.query(&nested_parens(10_000)).unwrap_err());
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+    }
+
+    #[test]
+    fn ten_thousand_conjuncts_are_an_error() {
+        let s = Session::sample().unwrap();
+        let err = on_connection_stack(|| s.query(&conjunct_chain(10_000)).unwrap_err());
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+    }
+
+    #[test]
+    fn the_deepest_accepted_statement_runs_on_a_connection_stack() {
+        use uniq_sql::MAX_DEPTH;
+        for s in [
+            Session::sample().unwrap(),
+            Session::sample().unwrap().with_cost_based(),
+        ] {
+            on_connection_stack(|| {
+                for (deepest, too_deep) in [
+                    (nested_parens(MAX_DEPTH - 2), nested_parens(MAX_DEPTH - 1)),
+                    (conjunct_chain(MAX_DEPTH - 1), conjunct_chain(MAX_DEPTH)),
+                ] {
+                    assert_eq!(s.query(&deepest).unwrap().rows.len(), 1);
+                    assert!(s.explain(&deepest).is_ok());
+                    assert!(s.query(&too_deep).is_err());
+                }
+            });
+        }
     }
 
     #[test]
@@ -862,9 +953,9 @@ mod tests {
                    GROUP BY S.SCITY ORDER BY N DESC LIMIT 2";
         let out = s.explain(sql).unwrap();
         let section = out
-            .split("Cost-based plan (est/act rows):")
+            .split("Physical plan:")
             .nth(1)
-            .expect("cost section present");
+            .expect("physical plan present");
         for needle in ["Aggregate [SCITY, COUNT(*)]", "Sort [N DESC]", "Limit 2"] {
             let line = section
                 .lines()

@@ -112,8 +112,9 @@ pub struct SharedEngine {
     pub optimizer: OptimizerOptions,
     /// Static executor strategies.
     pub exec: ExecOptions,
-    /// Cost-based planner configuration; physical planning activates
-    /// once [`SharedEngine::analyze`] has collected statistics.
+    /// Cost-based planner configuration; cost-based planning activates
+    /// once [`SharedEngine::analyze`] has collected statistics (the
+    /// fixed plan of `exec` runs until then).
     pub planner: PlannerOptions,
     /// What the last [`SharedEngine::analyze`] collected; each statement
     /// pins it once, next to its snapshot.

@@ -19,6 +19,7 @@
 //! (default 10000), then unsubscribes. Exits nonzero on timeout —
 //! which lets a script assert delta *delivery*, not just subscription.
 
+use std::io::Write;
 use std::time::Duration;
 use uniq_server::Client;
 use uniq_types::Value;
@@ -37,6 +38,22 @@ enum Action {
     Analyze,
     Stats,
     Subscribe(String),
+}
+
+/// Print `text` and a newline in one write, so a reader that stops
+/// early (`uniq-cli --explain … | grep -q …`) cannot cut it in half; a
+/// reader that has gone away is not an error.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out
+        .write_all(format!("{text}\n").as_bytes())
+        .and_then(|()| out.flush())
+    {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("uniq-cli: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn render(v: &Value) -> String {
@@ -114,7 +131,7 @@ fn main() {
                 client.exec(&sql).map(|ack| println!("{ack}"))
             }
         }
-        Action::Explain(sql) => client.explain(&sql).map(|text| println!("{text}")),
+        Action::Explain(sql) => client.explain(&sql).map(|text| emit(&text)),
         Action::Analyze => client.analyze().map(|ack| println!("{ack}")),
         Action::Stats => client.stats().map(|entries| {
             for (name, value) in entries {

@@ -28,4 +28,6 @@ pub mod parser;
 pub mod printer;
 
 pub use ast::*;
-pub use parser::{parse_expr, parse_full_query, parse_query, parse_statement, parse_statements};
+pub use parser::{
+    parse_expr, parse_full_query, parse_query, parse_statement, parse_statements, MAX_DEPTH,
+};

@@ -36,6 +36,16 @@ use crate::ast::*;
 use crate::lexer::{tokenize, Token, TokenKind};
 use uniq_types::{ColRef, DataType, Error, Result, Value};
 
+/// The deepest statement the parser accepts. Each parenthesis, `NOT`,
+/// `AND`/`OR` link, set-operation link and subquery adds one level to
+/// the depth of what it encloses; a deeper statement is a parse error.
+/// Every later pass over the tree (printing, binding, rewriting,
+/// execution, even dropping it) recurses along its depth, and this
+/// bound keeps all of them inside the 2 MiB stack of a server
+/// connection thread — with margin even in an unoptimized build, whose
+/// parser alone overflows that stack at about 130 nested parentheses.
+pub const MAX_DEPTH: usize = 100;
+
 /// Parse a single statement (DDL, DML or query).
 pub fn parse_statement(input: &str) -> Result<Statement> {
     let mut p = Parser::new(input)?;
@@ -104,6 +114,12 @@ pub fn parse_expr(input: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     i: usize,
+    /// Nesting constructs currently open around the cursor; bounds the
+    /// parser's own recursion before the depth of what it builds is
+    /// known.
+    open: usize,
+    /// Depth of the condition or query most recently parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -111,7 +127,38 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(input)?,
             i: 0,
+            open: 0,
+            depth: 0,
         })
+    }
+
+    fn too_deep(&self) -> Error {
+        Error::Parse {
+            pos: self.pos(),
+            message: format!("statement nests deeper than {MAX_DEPTH} levels"),
+        }
+    }
+
+    /// Record `depth` as the depth of what was just parsed.
+    fn set_depth(&mut self, depth: usize) -> Result<()> {
+        if depth > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth = depth;
+        Ok(())
+    }
+
+    /// Parse `f` one nesting level down: whatever it builds ends up one
+    /// level deeper than its own depth.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.open >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let out = f(self)?;
+        self.open -= 1;
+        self.set_depth(self.depth + 1)?;
+        Ok(out)
     }
 
     fn peek(&self) -> &TokenKind {
@@ -533,11 +580,7 @@ impl Parser {
         }
         self.expect_kw("FROM")?;
         let from = self.table_refs()?;
-        let where_clause = if self.eat_kw("WHERE") {
-            Some(self.condition()?)
-        } else {
-            None
-        };
+        let where_clause = self.where_clause()?;
         let group_by = if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
             let mut cols = vec![self.col_ref()?];
@@ -606,7 +649,9 @@ impl Parser {
         self.query_rest(left)
     }
 
+    /// Continue a set-operation chain whose head was just parsed.
     fn query_rest(&mut self, mut left: QueryExpr) -> Result<QueryExpr> {
+        let mut depth = self.depth;
         loop {
             let op = if self.at_kw("INTERSECT") {
                 SetOp::Intersect
@@ -620,6 +665,8 @@ impl Parser {
             self.bump();
             let all = self.eat_kw("ALL");
             let right = self.query_primary()?;
+            depth = depth.max(self.depth) + 1;
+            self.set_depth(depth)?;
             left = QueryExpr::SetOp {
                 op,
                 all,
@@ -627,13 +674,14 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn query_primary(&mut self) -> Result<QueryExpr> {
         if self.at(&TokenKind::LParen) {
             self.bump();
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&TokenKind::RParen, "')'")?;
             Ok(q)
         } else {
@@ -669,17 +717,25 @@ impl Parser {
         };
         self.expect_kw("FROM")?;
         let from = self.table_refs()?;
-        let where_clause = if self.eat_kw("WHERE") {
-            Some(self.condition()?)
-        } else {
-            None
-        };
+        let where_clause = self.where_clause()?;
         Ok(QuerySpec {
             distinct,
             projection,
             from,
             where_clause,
         })
+    }
+
+    /// An optional `WHERE` condition; the block is one level deeper.
+    fn where_clause(&mut self) -> Result<Option<Expr>> {
+        self.depth = 0;
+        let cond = if self.eat_kw("WHERE") {
+            Some(self.condition()?)
+        } else {
+            None
+        };
+        self.set_depth(self.depth + 1)?;
+        Ok(cond)
     }
 
     fn table_refs(&mut self) -> Result<Vec<TableRef>> {
@@ -726,26 +782,34 @@ impl Parser {
 
     fn or_term(&mut self) -> Result<Expr> {
         let mut left = self.and_term()?;
+        let mut depth = self.depth;
         while self.eat_kw("OR") {
             let right = self.and_term()?;
+            depth = depth.max(self.depth) + 1;
+            self.set_depth(depth)?;
             left = Expr::or(left, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn and_term(&mut self) -> Result<Expr> {
         let mut left = self.not_term()?;
+        let mut depth = self.depth;
         while self.eat_kw("AND") {
             let right = self.not_term()?;
+            depth = depth.max(self.depth) + 1;
+            self.set_depth(depth)?;
             left = Expr::and(left, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn not_term(&mut self) -> Result<Expr> {
         if self.at_kw("NOT") && !matches!(self.peek2(), TokenKind::Keyword("EXISTS")) {
             self.bump();
-            return Ok(Expr::not(self.not_term()?));
+            return Ok(Expr::not(self.nested(Self::not_term)?));
         }
         self.predicate()
     }
@@ -758,7 +822,7 @@ impl Parser {
             let negated = self.eat_kw("NOT");
             self.expect_kw("EXISTS")?;
             self.expect(&TokenKind::LParen, "'('")?;
-            let sub = self.query_spec()?;
+            let sub = self.nested(Self::query_spec)?;
             self.expect(&TokenKind::RParen, "')'")?;
             return Ok(Expr::Exists {
                 negated,
@@ -769,10 +833,12 @@ impl Parser {
         // here since scalars never start with '(' in this subset.
         if self.at(&TokenKind::LParen) {
             self.bump();
-            let inner = self.condition()?;
+            let inner = self.nested(Self::condition)?;
             self.expect(&TokenKind::RParen, "')'")?;
             return Ok(inner);
         }
+        // Every other predicate is a leaf, one level deep.
+        self.depth = 1;
         let scalar = self.scalar()?;
         // IS [NOT] NULL
         if self.eat_kw("IS") {
@@ -796,7 +862,7 @@ impl Parser {
         if self.eat_kw("IN") {
             self.expect(&TokenKind::LParen, "'('")?;
             if self.at_kw("SELECT") {
-                let sub = self.query_spec()?;
+                let sub = self.nested(Self::query_spec)?;
                 self.expect(&TokenKind::RParen, "')'")?;
                 return Ok(Expr::InSubquery {
                     scalar,
@@ -1247,6 +1313,41 @@ mod tests {
             Statement::Query(q) => assert!(q.as_plain().is_some()),
             other => panic!("expected query, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn statements_deeper_than_the_limit_are_errors() {
+        let parens = |n: usize| {
+            format!(
+                "SELECT S.SNO FROM S WHERE {}S.SNO = 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let chain = |op: &str, n: usize| {
+            format!(
+                "SELECT S.SNO FROM S WHERE {}S.SNO = 1",
+                format!("S.SNO = 1 {op} ").repeat(n - 1)
+            )
+        };
+        let nots = |n: usize| format!("SELECT S.SNO FROM S WHERE {}S.SNO = 1", "NOT ".repeat(n));
+        let unions = |n: usize| vec!["SELECT S.SNO FROM S"; n].join(" UNION ");
+        // Leaf and block each add a level; so does every link.
+        for (deepest, too_deep) in [
+            (parens(MAX_DEPTH - 2), parens(MAX_DEPTH - 1)),
+            (chain("AND", MAX_DEPTH - 1), chain("AND", MAX_DEPTH)),
+            (chain("OR", MAX_DEPTH - 1), chain("OR", MAX_DEPTH)),
+            (nots(MAX_DEPTH - 2), nots(MAX_DEPTH - 1)),
+            (unions(MAX_DEPTH), unions(MAX_DEPTH + 1)),
+        ] {
+            assert!(parse_statement(&deepest).is_ok(), "{deepest}");
+            let err = parse_statement(&too_deep).unwrap_err();
+            assert!(err.to_string().contains("nests deeper than"), "{err}");
+        }
+        // Far past the limit the parser stops before its own recursion
+        // can exhaust the stack.
+        assert!(parse_statement(&parens(100_000)).is_err());
+        assert!(parse_statement(&nots(100_000)).is_err());
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! surfaces must agree on rows, rewrite trace, executor work counters,
 //! per-operator cardinalities and the plan-cache hit sequence, and on
 //! the `EXPLAIN` text apart from the server's `Subscription:` note.
+//! Every configuration renders one physical plan, and a cost-based
+//! plan's rendered operators are exactly the operators its queries
+//! report cardinalities for.
 //! Wall-clock fields (per-rule and proof-checker nanoseconds) are the
 //! only values zeroed before comparison.
 
@@ -153,10 +156,11 @@ fn session_and_shared_engine_serve_identically() {
                             "{context}"
                         );
                         assert_eq!(
-                            analyze,
-                            embedded.contains("Cost-based plan (est/act rows):"),
-                            "{context}"
+                            embedded.matches("Physical plan:").count(),
+                            1,
+                            "one EXPLAIN format on every surface: {context}"
                         );
+                        assert!(!embedded.contains("Cost-based plan"), "{context}");
                     }
                 }
             }
@@ -167,5 +171,43 @@ fn session_and_shared_engine_serve_identically() {
             config == "columnar",
             "{config}: the engine runs the columnar kernels exactly when configured"
         );
+    }
+}
+
+/// The operator labels of an `EXPLAIN`'s physical plan, top-down.
+fn plan_labels(explain: &str) -> Vec<String> {
+    let (_, plan) = explain
+        .split_once("Physical plan:\n")
+        .expect("physical plan");
+    plan.lines()
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| l.trim_start().split(" est=").next().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn explain_renders_the_operators_a_query_reports() {
+    let hostvars = HostVars::new().with("CITY", "Toronto");
+    for &(config, configure, analyze) in CONFIGS {
+        let (session, engine) = surfaces(configure, analyze);
+        for sql in CORPUS {
+            let context = format!("{config}: {sql}");
+            let explained = plan_labels(&session.explain(sql).unwrap());
+            assert!(!explained.is_empty(), "{context}");
+            assert_eq!(
+                explained,
+                plan_labels(&engine.explain(sql).unwrap()),
+                "{context}"
+            );
+            let out = session.query_with(sql, &hostvars).unwrap();
+            match out.cards {
+                Some(cards) => {
+                    assert!(analyze, "only an estimated plan reports cards: {context}");
+                    let reported: Vec<String> = cards.rows.into_iter().map(|r| r.op).collect();
+                    assert_eq!(explained, reported, "{context}");
+                }
+                None => assert!(!analyze, "a cost-based plan reports cards: {context}"),
+            }
+        }
     }
 }
